@@ -136,7 +136,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
             "torn journal writes, cache corruption) and prove the "
             "output identical anyway; tokens: seed=N kill-rate=F "
             "hang-rate=F hang-s=F max-kills=N torn-journal=N "
-            "corrupt-cache-rate=F — e.g. --chaos seed=7 kill-rate=0.2"
+            "corrupt-cache-rate=F — e.g. --chaos seed=7 kill-rate=0.2; "
+            "with hang-rate set, each job's lease is hang-s/2, so hang-s "
+            "must exceed twice the longest honest job"
         ),
     )
 
@@ -595,7 +597,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = sim.resume(args.instructions)
     elif args.trace_out or args.metrics_out or args.sample_interval:
         # Trace/metrics export needs the live observer object, which a
-        # cached replay or pool worker cannot provide: run in-process,
+        # cached replay or worker process cannot provide: run in-process,
         # bypassing the engine (identical results either way).
         workload_arg = ref
         if ":" in ref:
@@ -1116,7 +1118,7 @@ def _install_signal_handlers():
     """Route SIGINT/SIGTERM through one exception; returns a restorer.
 
     Both signals become a :class:`_SignalExit` so every cleanup path —
-    pool/supervisor shutdown, the engine's ``interrupted`` journal
+    supervisor shutdown, the engine's ``interrupted`` journal
     record, incremental cache commits — runs exactly as it does for a
     plain ctrl-C, and ``main`` can still exit ``128 + signum``.
     """

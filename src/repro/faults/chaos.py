@@ -80,8 +80,9 @@ class ChaosPlan:
     seed: int = 7
     kill_rate: float = 0.0
     hang_rate: float = 0.0
-    #: How long an injected hang sleeps; pick a supervisor lease shorter
-    #: than this or the hang is never detected.
+    #: How long an injected hang sleeps.  With ``hang_rate > 0`` the
+    #: engine leases each job for ``hang_s / 2``, so every hang expires
+    #: its lease; honest jobs must therefore finish within that half.
     hang_s: float = 30.0
     max_kills_per_job: int = 2
     #: Tear this many journal records mid-write (0 disables).

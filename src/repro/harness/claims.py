@@ -218,7 +218,7 @@ def evaluate_claims(
     """Run the experiments each claim needs and grade all claims.
 
     An :class:`~repro.harness.engine.ExperimentEngine` may be passed so
-    the figures share one cache/worker pool; figures that repeat a
+    the figures share one cache and worker fleet; figures that repeat a
     baseline (fig2's HW runs, fig9's) then cost one simulation total.
     """
     kwargs = dict(

@@ -2,14 +2,17 @@
 
 Every paper figure and ablation is a grid of independent, deterministic
 simulations.  The engine turns that grid into explicit :class:`SimJob`
-specs and executes them through three interchangeable paths that are
-proven equivalent by ``tests/test_engine_equivalence.py``:
+specs and satisfies each one in one of three ways, proven equivalent by
+``tests/test_engine_equivalence.py``:
 
-* **in-process** (``workers=1``) — each job runs exactly like the legacy
-  ``run_simulation`` call it replaces;
-* **parallel** (``workers=N``) — jobs fan out over a
-  ``ProcessPoolExecutor``; results are pickled back and re-ordered into
-  submission order, so output never depends on completion order;
+* **in-process** (``workers=1``, or a lone pending job without chaos) —
+  each job runs exactly like the legacy ``run_simulation`` call it
+  replaces;
+* **supervised** (everything else) — same-prefix chains fan out over
+  :class:`~repro.harness.supervisor.WorkerSupervisor` processes, which
+  stream results back as they finish and reclaim crashed or hung
+  workers; outcomes land at their submission index, so output never
+  depends on completion order;
 * **cached** — a :class:`~repro.harness.cache.ResultCache` hit replays
   the stored ``SimulationResult.to_dict()`` without simulating at all.
 
@@ -34,11 +37,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import os
+import gc
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import (
@@ -62,10 +63,6 @@ _log = get_logger("engine")
 
 #: Sentinel distinguishing "use the default cache" from "no cache".
 _DEFAULT_CACHE = object()
-
-#: Times a chain may break the process pool before its unfinished jobs
-#: are recorded as crashed instead of resubmitted.
-MAX_POOL_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -278,10 +275,6 @@ class JobOutcome:
     #: Committed-instruction count of the checkpoint this run resumed
     #: from (None: ran cold or replayed from the result cache).
     resumed_from: Optional[int] = None
-    #: Worker-side telemetry spans (serialised dicts), carried back with
-    #: the pickled outcome on the pool path; None when telemetry is off
-    #: or the worker streamed them live (supervised path).
-    spans: Optional[List[Dict]] = None
 
     @property
     def ok(self) -> bool:
@@ -304,8 +297,6 @@ class EngineStats:
     jobs_retried: int = 0
     #: Jobs quarantined as poison after repeated strikes.
     jobs_quarantined: int = 0
-    #: Times a broken process pool was rebuilt mid-sweep.
-    pool_rebuilds: int = 0
     #: Sum of the original wall time of every cache hit.
     wall_time_saved_s: float = 0.0
     wall_time_spent_s: float = 0.0
@@ -346,8 +337,9 @@ def _execute_job(
     (corrupt file, stale stamp) silently degrades to a cold run.
 
     This is the single simulation seam for both the in-process path and
-    pool workers; the baseline-reuse regression test counts invocations
-    through ``runner.Simulation``.
+    supervised workers, which call it through this module's global so a
+    patch made before the fork reaches them; the baseline-reuse
+    regression test counts invocations through ``runner.Simulation``.
     """
     from ..checkpoint import CheckpointStore, restore as restore_snapshot
 
@@ -475,21 +467,18 @@ def _worker(
     recorder: Optional[SpanRecorder] = None,
     context: Optional[TraceContext] = None,
 ) -> JobOutcome:
-    """Pool entry point: isolate failures into records (picklable)."""
+    """Run one job with failures isolated into records (picklable)."""
 
-    def execute() -> Tuple[SimulationResult, float, Optional[int]]:
-        # The recovery test suite monkeypatches ``_execute_job`` with
-        # legacy three-argument fakes; the telemetry arguments are only
-        # passed when a recorder is live.
-        if recorder is None:
-            return _execute_job(job, ckpt_root, resume_ok)
-        return _execute_job(job, ckpt_root, resume_ok, recorder, context)
-
-    try:
-        result, elapsed, resumed = execute()
+    def attempt() -> JobOutcome:
+        result, elapsed, resumed = _execute_job(
+            job, ckpt_root, resume_ok, recorder, context
+        )
         return JobOutcome(
             result=result, elapsed_s=elapsed, resumed_from=resumed
         )
+
+    try:
+        return attempt()
     except Exception as exc:
         if getattr(exc, "transient", False):
             if recorder is not None:
@@ -498,10 +487,7 @@ def _worker(
                     error=type(exc).__name__,
                 )
             try:
-                result, elapsed, resumed = execute()
-                return JobOutcome(
-                    result=result, elapsed_s=elapsed, resumed_from=resumed
-                )
+                return attempt()
             except Exception as retry_exc:
                 return JobOutcome(
                     error=_error_record(job, retry_exc, retried=True)
@@ -509,64 +495,14 @@ def _worker(
         return JobOutcome(error=_error_record(job, exc, retried=False))
 
 
-#: Test seam for the broken-pool regression suite: when set to a path,
-#: the first pool worker to claim it (O_EXCL) dies with ``os._exit`` —
-#: the exact failure mode ``ProcessPoolExecutor`` reports as
-#: ``BrokenProcessPool``.  Inherited by fork and spawn children alike
-#: because it rides the environment.
-_ENV_CRASH_ONCE = "REPRO_TEST_CRASH_ONCE"
-
-
-def _maybe_crash_for_test() -> None:
-    latch = os.environ.get(_ENV_CRASH_ONCE)
-    if not latch:
-        return
-    try:
-        fd = os.open(latch, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except OSError:
-        return
-    os.close(fd)
-    os._exit(13)
-
-
-def _worker_chain(
-    jobs: List[SimJob],
-    ckpt_root: Optional[str],
-    resume_ok: bool,
-    sweep_id: Optional[str] = None,
-) -> List[JobOutcome]:
-    """Run same-prefix jobs sequentially, ascending by budget.
-
-    The jobs share a checkpoint prefix, so each run's end snapshot seeds
-    the next one through the on-disk store: a multi-budget sweep pays
-    for its longest member plus deltas instead of the sum of budgets.
-    Submitted to the pool as one unit so the chain's data locality is
-    not lost to scheduling.
-
-    With a ``sweep_id`` (telemetry on) each job records its spans into a
-    buffering worker-side recorder and carries them home attached to the
-    pickled outcome — the pool path has no live channel back.
-    """
-    _maybe_crash_for_test()
-    if sweep_id is None:
-        return [_worker(job, ckpt_root, resume_ok) for job in jobs]
-    recorder = SpanRecorder(TraceContext(sweep_id), role="worker")
-    outcomes: List[JobOutcome] = []
-    for job in jobs:
-        context = TraceContext(sweep_id, job_key(job.spec()))
-        outcome = _worker(job, ckpt_root, resume_ok, recorder, context)
-        outcome.spans = recorder.drain()
-        outcomes.append(outcome)
-    return outcomes
-
-
 class ExperimentEngine:
     """Executes :class:`SimJob` batches with caching and fan-out.
 
     ``workers=1`` (the default) runs jobs sequentially in-process —
     bit-identical to the legacy serial harness.  ``workers=N`` fans the
-    uncached jobs out over N processes.  Either way ``run()`` returns
-    one :class:`JobOutcome` per job **in submission order**.
+    uncached jobs out over N supervised processes, as does any engine
+    with a chaos plan.  Either way ``run()`` returns one
+    :class:`JobOutcome` per job **in submission order**.
     """
 
     def __init__(
@@ -577,11 +513,7 @@ class ExperimentEngine:
         metrics: Optional[MetricsRegistry] = None,
         checkpoints: Union["CheckpointStore", None, object] = _DEFAULT_CACHE,
         journal=None,
-        supervised: bool = False,
         chaos=None,
-        retry=None,
-        lease_s: float = 300.0,
-        heartbeat_s: float = 1.0,
         telemetry=None,
     ) -> None:
         if not isinstance(workers, int) or workers < 1:
@@ -625,24 +557,23 @@ class ExperimentEngine:
         if chaos is not None:
             from ..faults.chaos import ChaosPlan
 
-            plan = chaos if isinstance(chaos, ChaosPlan) else None
-            if plan is None:
+            if not isinstance(chaos, ChaosPlan):
                 raise ReproError(
                     f"chaos must be a ChaosPlan, got {chaos!r}"
                 )
-            self._chaos_plan = plan
-            supervised = True
-        else:
-            self._chaos_plan = None
+        self._chaos_plan = chaos
         self.supervisor = None
-        if supervised:
+        if workers > 1 or chaos is not None:
             from .supervisor import WorkerSupervisor
 
+            lease_s = 300.0
+            if chaos is not None and chaos.hang_rate > 0:
+                # An injected hang must outlive its lease or it is never
+                # reclaimed; honest jobs get the other half of hang_s.
+                lease_s = chaos.hang_s / 2
             self.supervisor = WorkerSupervisor(
                 workers=self.workers,
                 lease_s=lease_s,
-                heartbeat_s=heartbeat_s,
-                retry=retry,
                 journal=self.journal,
                 metrics=self.metrics,
                 telemetry=self.telemetry,
@@ -665,9 +596,10 @@ class ExperimentEngine:
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
         keys: List[Optional[str]] = [None] * len(jobs)
         hub = self.telemetry
+        # Supervised workers are tracked, retried and logged by job key.
         jkeys = [job_key(job.spec()) for job in jobs] if (
             self.journal is not None
-            or self._chaos_plan is not None
+            or self.supervisor is not None
             or hub is not None
         ) else [None] * len(jobs)
         if hub is not None:
@@ -721,9 +653,7 @@ class ExperimentEngine:
                     ok=outcome.ok,
                     cached=outcome.cached,
                     cycles=outcome.result.cycles if outcome.ok else 0.0,
-                    spans=outcome.spans,
                 )
-                outcome.spans = None
             if outcome.ok and keys[index] is not None:
                 self.cache.put(
                     keys[index],
@@ -738,14 +668,21 @@ class ExperimentEngine:
 
         if pending:
             try:
-                if self.supervisor is not None:
+                if self._chaos_plan is not None or (
+                    self.workers > 1 and len(pending) > 1
+                ):
                     self._run_supervised(
                         jobs, pending, outcomes, jkeys, commit
                     )
-                elif self.workers > 1 and len(pending) > 1:
-                    self._run_pool(jobs, pending, outcomes, jkeys, commit)
                 else:
-                    for index in pending:
+                    for position, index in enumerate(pending):
+                        if position:
+                            # A finished Simulation is one big reference
+                            # cycle: free it before the next job starts,
+                            # so peak memory holds one simulation rather
+                            # than however many the collector has not
+                            # reached yet.
+                            gc.collect()
                         self._journal_event("start", jkeys[index])
                         if hub is not None:
                             hub.job_scheduled(
@@ -838,14 +775,9 @@ class ExperimentEngine:
             recorder = self.telemetry.recorder
             context = self.telemetry.job_context(jkey)
         if not isolate:
-            if recorder is None:
-                result, elapsed, resumed = _execute_job(
-                    job, self._ckpt_root, resume_ok
-                )
-            else:
-                result, elapsed, resumed = _execute_job(
-                    job, self._ckpt_root, resume_ok, recorder, context
-                )
+            result, elapsed, resumed = _execute_job(
+                job, self._ckpt_root, resume_ok, recorder, context
+            )
             return JobOutcome(
                 result=result, elapsed_s=elapsed, resumed_from=resumed
             )
@@ -859,7 +791,7 @@ class ExperimentEngine:
         Same-prefix jobs become one sequential chain (ascending by
         budget — ``pending`` is already sorted): each member's end
         snapshot seeds the next through the on-disk store.  Distinct
-        prefixes still fan out across the pool.
+        prefixes still fan out across workers.
         """
         ckpt_root = self._ckpt_root
         if ckpt_root is None:
@@ -872,145 +804,6 @@ class ExperimentEngine:
             prefix = store.prefix_key(jobs[index].spec())
             by_prefix.setdefault(prefix, []).append(index)
         return list(by_prefix.values())
-
-    def _run_pool(
-        self,
-        jobs: Sequence[SimJob],
-        pending: List[int],
-        outcomes: List[Optional[JobOutcome]],
-        jkeys: Sequence[Optional[str]],
-        commit: Callable[[int, Optional[JobOutcome]], None],
-    ) -> None:
-        """The plain (unsupervised) fan-out path.
-
-        A broken pool — one worker SIGKILLed or ``os._exit``ing tears
-        down every sibling future in a ``ProcessPoolExecutor`` — no
-        longer loses the batch: completed chains are committed, the pool
-        is rebuilt, and only unfinished chains are resubmitted.  A chain
-        that keeps breaking the pool is given up on after
-        :data:`MAX_POOL_ATTEMPTS` tries and recorded as crashed.
-        """
-        ckpt_root = self._ckpt_root
-        resume_ok = not self.refresh
-        hub = self.telemetry
-        sweep_id = hub.sweep_id if hub is not None else None
-        remaining = self._chains(jobs, pending)
-        attempts: Dict[Tuple[int, ...], int] = {}
-
-        def record_chain(chain, results) -> None:
-            for index, outcome in zip(chain, results):
-                outcomes[index] = outcome
-                commit(index, outcome)
-                self._journal_outcome(jkeys[index], outcome)
-
-        while remaining:
-            workers = min(self.workers, len(remaining))
-            pool = ProcessPoolExecutor(max_workers=workers)
-            broken = False
-            try:
-                futures = {}
-                for chain in remaining:
-                    for index in chain:
-                        self._journal_event("start", jkeys[index])
-                        if hub is not None:
-                            hub.job_scheduled(
-                                jkeys[index],
-                                attempt=attempts.get(tuple(chain), 0),
-                                worker="pool",
-                            )
-                    # sweep_id is passed only when telemetry is live:
-                    # recovery tests monkeypatch ``_worker_chain`` with
-                    # legacy three-argument fakes.
-                    chain_args = (
-                        [jobs[index] for index in chain],
-                        ckpt_root,
-                        resume_ok,
-                    )
-                    if sweep_id is not None:
-                        chain_args += (sweep_id,)
-                    futures[pool.submit(
-                        _worker_chain, *chain_args
-                    )] = tuple(chain)
-                for future in as_completed(futures):
-                    chain = futures[future]
-                    try:
-                        results = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    except Exception as exc:
-                        # A job whose *payload* failed (unpicklable
-                        # result, say) yields records, not a crashed
-                        # sweep — and not a retry, it would fail again.
-                        results = [
-                            JobOutcome(error=_error_record(
-                                jobs[index], exc, retried=False
-                            ))
-                            for index in chain
-                        ]
-                    record_chain(chain, results)
-                # Sweep up futures that finished before a break.
-                if broken:
-                    for future, chain in futures.items():
-                        if outcomes[chain[0]] is not None:
-                            continue
-                        if not future.done() or future.cancelled():
-                            continue
-                        try:
-                            record_chain(chain, future.result())
-                        except Exception:
-                            pass
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            pool.shutdown(wait=False, cancel_futures=True)
-            if not broken:
-                break
-            self.stats.pool_rebuilds += 1
-            _log.warning(
-                "worker pool broke; rebuilding and resubmitting "
-                "unfinished chains"
-            )
-            next_round: List[List[int]] = []
-            for chain in remaining:
-                if outcomes[chain[0]] is not None:
-                    continue
-                chain_id = tuple(chain)
-                strikes = attempts.get(chain_id, 0) + 1
-                attempts[chain_id] = strikes
-                quarantining = strikes >= MAX_POOL_ATTEMPTS
-                for index in chain:
-                    self._journal_event(
-                        "reclaimed", jkeys[index],
-                        reason="BrokenProcessPool", attempts=strikes,
-                    )
-                    if hub is not None:
-                        hub.job_reclaimed(
-                            jkeys[index], attempt=strikes,
-                            reason="BrokenProcessPool",
-                            retrying=not quarantining,
-                        )
-                self.stats.leases_reclaimed += len(chain)
-                if quarantining:
-                    exc = WorkerCrashError(
-                        f"chain crashed the worker pool {strikes} times"
-                    )
-                    for index in chain:
-                        outcomes[index] = JobOutcome(
-                            error=_error_record(
-                                jobs[index], exc, retried=True
-                            )
-                        )
-                        self._journal_event(
-                            "quarantined", jkeys[index],
-                            error=outcomes[index].error,
-                        )
-                        commit(index, outcomes[index])
-                    self.stats.jobs_quarantined += len(chain)
-                else:
-                    self.stats.jobs_retried += len(chain)
-                    next_round.append(chain)
-            remaining = next_round
 
     def _run_supervised(
         self,
@@ -1093,7 +886,6 @@ class ExperimentEngine:
         metrics.gauge("engine.jobs_quarantined").set(
             self.stats.jobs_quarantined
         )
-        metrics.gauge("engine.pool_rebuilds").set(self.stats.pool_rebuilds)
         metrics.gauge("engine.wall_time_saved_s").set(
             self.stats.wall_time_saved_s
         )

@@ -1,12 +1,11 @@
 """Supervised worker fleet: heartbeats, wall-time leases, and
 lease-expiry reclamation over per-chain worker processes.
 
-The plain pool path (:meth:`ExperimentEngine._run_pool`) is fine when
-workers are well behaved: a ``ProcessPoolExecutor`` fans chains out and
-the only failure it must survive is a broken pool.  The supervisor is
-the path for a *hostile* world — the one the chaos harness creates on
-purpose — where a worker can be SIGKILLed mid-job, hang forever, or die
-silently between jobs of a chain:
+The supervisor is the engine's only multi-process path.  It is built for
+a *hostile* world — the one the chaos harness creates on purpose — where
+a worker can be SIGKILLed mid-job, hang forever, or die silently between
+jobs of a chain, and it serves well-behaved sweeps through the same
+code:
 
 * each dispatch is its **own process** holding one chain of same-prefix
   jobs, reporting per-job results over a pipe as they complete, so a

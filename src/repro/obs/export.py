@@ -262,7 +262,7 @@ def fleet_chrome_trace(
 
     Where :func:`chrome_trace` maps one simulation's cycles onto one
     Perfetto process, this maps the *fleet*: each recording OS process
-    (the engine, every pool/supervised worker) becomes a Perfetto
+    (the engine, every supervised worker) becomes a Perfetto
     process, and within a process each job gets its own track, numbered
     in first-seen order by a per-process
     :class:`~repro.trident.TraceIdAllocator` so two exports of the same

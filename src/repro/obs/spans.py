@@ -1,7 +1,7 @@
 """Cross-process span tracing: trace contexts and the span recorder.
 
 The PR 2 obs layer sees inside one simulation process; a fleet run is
-many processes — the engine, N pool or supervised workers — and the
+many processes — the engine and N supervised workers — and the
 question "where did job X's three seconds go?" spans all of them.  This
 module is the fleet-side answer:
 
@@ -17,11 +17,11 @@ module is the fleet-side answer:
   what lets the exporter stitch engine and worker spans onto one
   timeline;
 * a :class:`SpanRecorder` collects spans in whatever process the work
-  happens in.  With no sink it buffers (pool workers attach the buffer
-  to the pickled ``JobOutcome``); with a sink each finished span is
-  pushed immediately (supervised workers stream them over the existing
-  supervisor pipe, so a later SIGKILL cannot take finished spans down
-  with the process).
+  happens in.  With no sink it buffers (the engine's own hub reads the
+  buffer); with a sink each finished span is pushed immediately
+  (supervised workers stream them over the existing supervisor pipe,
+  so a later SIGKILL cannot take finished spans down with the
+  process).
 
 Spans observe the fleet, never the simulation: nothing in here touches
 simulated state, and every engine/worker emit site is guarded by a
@@ -152,8 +152,8 @@ class SpanRecorder:
 
     ``sink`` is a callable taking one serialised span dict.  With a sink
     (supervised workers: the pipe), finished spans are pushed the moment
-    they close and nothing is buffered; without one (pool workers, the
-    engine's own hub) they accumulate until :meth:`drain`.
+    they close and nothing is buffered; without one (the engine's own
+    hub) they accumulate until :meth:`drain`.
     """
 
     def __init__(

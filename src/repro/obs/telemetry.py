@@ -4,9 +4,8 @@ fleet gauges across the engine and its worker processes.
 The :class:`TelemetryHub` lives in the engine process.  Engine-side
 lifecycle points (submit, cache probe, schedule, commit, reclaim) are
 recorded directly through the hub's own :class:`~repro.obs.spans.
-SpanRecorder`; worker-side spans arrive either attached to the pickled
-``JobOutcome`` (pool workers) or streamed live over the supervisor pipe
-(supervised workers) and are fed in through :meth:`TelemetryHub.ingest`.
+SpanRecorder`; worker-side spans stream live over the supervisor pipe
+and are fed in through :meth:`TelemetryHub.ingest`.
 Live interval-sampler windows ride the same path and land in a bounded
 :class:`~repro.obs.events.EventRing`, so a `repro fleet status` reader
 always sees the newest window of activity no matter how long the sweep
@@ -147,8 +146,8 @@ def write_prometheus(metrics: MetricsRegistry, path: os.PathLike) -> None:
 class TelemetryHub:
     """Aggregates one sweep's spans, live samples, and fleet gauges.
 
-    Thread-safe for ingestion: the supervisor's drain loop, pool-result
-    accounting, and test harnesses may all feed it concurrently.
+    Thread-safe for ingestion: the supervisor's drain loop and test
+    harnesses may all feed it concurrently.
     """
 
     def __init__(
@@ -258,13 +257,9 @@ class TelemetryHub:
         ok: bool,
         cached: bool = False,
         cycles: float = 0.0,
-        spans: Optional[Sequence[Dict]] = None,
     ) -> None:
         """A job reached a terminal state engine-side: record the commit
-        marker, absorb any worker-buffered spans, update throughput."""
-        if spans:
-            for record in spans:
-                self.ingest(record)
+        marker and update throughput."""
         self.instant("commit", key, ok=ok, cached=cached)
         self._terminal += 1
         if cycles:

@@ -102,8 +102,8 @@ def materialize_workload(
     """Rebuild the runnable workload a job's source dicts describe.
 
     The single seam the engine uses in whatever process runs the job —
-    both dicts travel with the pickled :class:`SimJob`, so pool and
-    supervised workers rebuild identically to the in-process path.
+    both dicts travel with the pickled :class:`SimJob`, so supervised
+    workers rebuild identically to the in-process path.
     """
     if (scenario is None) == (trace is None):
         raise ConfigError(

@@ -147,6 +147,33 @@ class TestChaosEquivalence:
         # A torn 'start' is superseded by its job's terminal record.
         assert state.unfinished() == []
 
+    def test_hangs_expire_their_lease_not_just_delay(self, tmp_path):
+        """A hang plan leases each job for hang_s / 2, so an injected
+        hang is killed and reclaimed instead of merely waited out."""
+
+        def figure(engine):
+            return experiments.fig6_breakdown(
+                workloads=WORKLOADS, max_instructions=BUDGET,
+                warmup=WARMUP, engine=engine,
+            ).render()
+
+        clean = figure(_engine(tmp_path, "clean"))
+        engine = _engine(
+            tmp_path, "hang", workers=2,
+            chaos=ChaosPlan(seed=7, hang_rate=1.0, hang_s=2),
+        )
+        assert figure(engine) == clean
+        assert engine.supervisor.lease_s == 1.0
+        assert engine.stats.leases_reclaimed >= 1
+        assert engine.supervisor.lease_expiries >= 1
+        assert engine.stats.jobs_failed == 0
+
+    def test_hang_free_plans_keep_the_long_lease(self):
+        engine = ExperimentEngine(
+            workers=2, cache=None, chaos=ChaosPlan(seed=7, kill_rate=0.2)
+        )
+        assert engine.supervisor.lease_s == 300.0
+
     def test_corrupted_cache_entries_quarantine_and_resimulate(
         self, tmp_path
     ):

@@ -1,5 +1,6 @@
-"""Engine recovery paths: broken-pool rebuilds, interrupt flushing, the
-CLI's clean SIGINT/SIGTERM exits, and resume-sweep."""
+"""Engine recovery paths: supervised reclaims of killed workers,
+interrupt flushing, the CLI's clean SIGINT/SIGTERM exits, and
+resume-sweep."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import signal
 import pytest
 
 from repro.__main__ import main
+from repro.faults.chaos import ChaosDecision, ChaosPlan, ChaosSchedule
 from repro.harness import engine as engine_mod
 from repro.harness.cache import ResultCache
 from repro.harness.engine import ExperimentEngine, make_job
@@ -25,60 +27,54 @@ def _jobs(workloads=("art", "dot", "mcf")):
     ]
 
 
-def _always_crash(jobs, ckpt_root, resume_ok):
-    """Module-level (picklable) stand-in for ``_worker_chain`` that dies
-    the way a segfaulting worker does."""
-    os._exit(13)
+def _chaos_engine(tmp_path, kills, **kwargs) -> ExperimentEngine:
+    """A two-worker engine whose only chaos is ``kills``: job key ->
+    number of leading attempts killed before the job computes."""
+    plan = ChaosPlan(seed=7)  # rates 0: nothing but the forced kills
+    engine = ExperimentEngine(
+        workers=2, cache=ResultCache(tmp_path / "cache"), chaos=plan,
+        **kwargs,
+    )
+    engine.chaos = ChaosSchedule(plan=plan, _forced={
+        (key, attempt): ChaosDecision(kill_phase="pre")
+        for key, attempts in kills.items()
+        for attempt in range(attempts)
+    })
+    return engine
 
 
-class TestBrokenPool:
-    def test_one_dying_worker_no_longer_loses_the_batch(
-        self, tmp_path, monkeypatch
-    ):
-        """Regression: a worker calling ``os._exit`` breaks the whole
-        ``ProcessPoolExecutor``; the engine must rebuild the pool and
-        resubmit only the chains that never finished."""
-        monkeypatch.setenv(
-            engine_mod._ENV_CRASH_ONCE, str(tmp_path / "latch")
-        )
-        engine = ExperimentEngine(
-            workers=2, cache=ResultCache(tmp_path / "cache")
-        )
-        outcomes = engine.run(_jobs())
+class TestSupervisedRecovery:
+    def test_killed_worker_is_reclaimed_and_retried(self, tmp_path):
+        """A worker dying mid-sweep loses only its own attempt: the
+        supervisor reclaims the job, retries it, and every other chain
+        finishes undisturbed."""
+        jobs = _jobs()
+        engine = _chaos_engine(tmp_path, {job_key(jobs[0].spec()): 1})
+        outcomes = engine.run(jobs)
         assert all(outcome.ok for outcome in outcomes)
-        assert engine.stats.pool_rebuilds == 1
         assert engine.stats.leases_reclaimed >= 1
         assert engine.stats.jobs_retried >= 1
         assert engine.stats.jobs_quarantined == 0
 
-    def test_persistent_crasher_is_quarantined_not_looped(
-        self, tmp_path, monkeypatch
-    ):
-        """A chain that breaks the pool on every attempt ends as an
-        error record after MAX_POOL_ATTEMPTS, not an infinite loop."""
-        monkeypatch.setattr(engine_mod, "_worker_chain", _always_crash)
-        engine = ExperimentEngine(
-            workers=2, cache=ResultCache(tmp_path / "cache")
-        )
-        outcomes = engine.run(_jobs(("art", "dot")))
-        assert all(not outcome.ok for outcome in outcomes)
-        assert all(
-            outcome.error["type"] == "WorkerCrashError"
-            for outcome in outcomes
-        )
-        assert engine.stats.pool_rebuilds == engine_mod.MAX_POOL_ATTEMPTS
-        assert engine.stats.jobs_quarantined == 2
+    def test_persistent_crasher_is_quarantined_not_looped(self, tmp_path):
+        """A job that kills its worker on every attempt ends as a poison
+        record after three strikes, not an infinite loop, and the rest
+        of the sweep still completes."""
+        jobs = _jobs(("art", "dot"))
+        engine = _chaos_engine(tmp_path, {job_key(jobs[0].spec()): 3})
+        poisoned, survivor = engine.run(jobs)
+        assert not poisoned.ok
+        assert poisoned.error["type"] == "PoisonJobError"
+        assert poisoned.error["strikes"] == 3
+        assert survivor.ok
+        assert engine.stats.jobs_quarantined == 1
 
-    def test_journal_records_pool_reclaims(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(
-            engine_mod._ENV_CRASH_ONCE, str(tmp_path / "latch")
-        )
-        journal = JobJournal(tmp_path / "j", fsync=False)
-        engine = ExperimentEngine(
-            workers=2, cache=ResultCache(tmp_path / "cache"),
-            journal=journal,
-        )
+    def test_journal_records_reclaims(self, tmp_path):
         jobs = _jobs()
+        journal = JobJournal(tmp_path / "j", fsync=False)
+        engine = _chaos_engine(
+            tmp_path, {job_key(jobs[0].spec()): 1}, journal=journal
+        )
         engine.run(jobs)
         state = journal.recover()
         assert state.unfinished() == []
