@@ -522,7 +522,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         metavar="BYTES",
-        help="target total size; oldest result/checkpoint files go first",
+        help=(
+            "target total size; oldest files go first (results, "
+            "checkpoints, quarantine and orphaned temps alike)"
+        ),
     )
     return parser
 
@@ -1078,8 +1081,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     import pathlib
 
-    from .checkpoint import prune, scan_usage
-    from .harness.cache import default_cache_dir
+    from .harness.blobstore import default_cache_dir, prune, scan_usage
 
     root = pathlib.Path(args.dir) if args.dir else default_cache_dir()
     if args.cache_command == "prune":

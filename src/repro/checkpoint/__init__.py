@@ -14,7 +14,7 @@ from .snapshot import (
     is_quiescent,
     restore,
 )
-from .store import CheckpointStore, prefix_spec, prune, scan_usage
+from .store import CheckpointStore, prefix_spec
 
 __all__ = [
     "FORMAT_VERSION",
@@ -24,7 +24,5 @@ __all__ = [
     "capture",
     "is_quiescent",
     "prefix_spec",
-    "prune",
     "restore",
-    "scan_usage",
 ]

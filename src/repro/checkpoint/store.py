@@ -15,9 +15,12 @@ Layout mirrors the result cache, under the same root::
 
 One file per captured committed-instruction count, named so lookup is a
 directory listing plus an integer compare — no index file to corrupt.
-Writes are atomic (same-directory temp + ``os.replace``); any file that
-fails to parse or restore is treated as absent.  The code-version stamp
-is hashed into the prefix key *and* checked by
+Atomic synced writes, quarantine of snapshots that fail to parse, and
+save-off mode on a full disk come from
+:class:`~repro.harness.blobstore.BlobStore`; this module adds only the
+prefix key, the ``<committed>.ckpt`` listing and the
+:class:`~repro.checkpoint.snapshot.Snapshot` framing.  The code-version
+stamp is hashed into the prefix key *and* checked by
 :func:`~repro.checkpoint.snapshot.restore`, so a source change orphans
 old snapshots rather than resuming from a diverged world.
 """
@@ -26,34 +29,17 @@ from __future__ import annotations
 
 import os
 import pathlib
-import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import CheckpointError
-from ..harness.cache import (
-    _DISK_FULL_ERRNOS,
-    SCHEMA_VERSION,
-    code_version,
-    default_cache_dir,
-    stable_hash,
-)
+from ..harness.blobstore import BlobStore, stable_hash
+from ..harness.cache import SCHEMA_VERSION, code_version
 from ..logutil import get_logger
 from .snapshot import Snapshot, capture, is_quiescent
 
 _log = get_logger("checkpoint")
 
 _SUFFIX = ".ckpt"
-
-_tmp_lock = threading.Lock()
-_tmp_counter = 0
-
-
-def _tmp_suffix() -> str:
-    global _tmp_counter
-    with _tmp_lock:
-        _tmp_counter += 1
-        counter = _tmp_counter
-    return f".tmp.{os.getpid()}.{threading.get_ident()}.{counter}"
 
 
 def prefix_spec(spec: Dict) -> Dict:
@@ -70,7 +56,7 @@ def prefix_spec(spec: Dict) -> Dict:
     return reduced
 
 
-class CheckpointStore:
+class CheckpointStore(BlobStore):
     """Content-addressed checkpoint files under the cache root.
 
     Like the result cache, every I/O failure degrades to "no
@@ -78,15 +64,8 @@ class CheckpointStore:
     snapshot is a miss, and the simulation runs cold.
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        self.root = pathlib.Path(root) if root else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        #: Snapshots moved aside after failing to parse/restore.
-        self.quarantined = 0
-        #: Set once the disk fills up; all later saves become no-ops.
-        self.disabled = False
+    #: Quarantined snapshots keep their prefix directory.
+    quarantine_parts = 2
 
     # ------------------------------------------------------------------
     # Keys and paths.
@@ -131,39 +110,17 @@ class CheckpointStore:
         """The largest usable snapshot at ``committed <= max_committed``.
 
         Candidates are tried largest-first; one that fails to parse is
-        quarantined (moved aside and logged), not fatal — determinism
-        means any stored point at or before the target is a valid resume
-        point.
+        quarantined, not fatal — determinism means any stored point at
+        or before the target is a valid resume point.
         """
-        for committed in reversed(self.committed_counts(prefix)):
-            if committed > max_committed:
-                continue
-            path = self.path_for(prefix, committed)
-            try:
-                snapshot = Snapshot.from_bytes(path.read_bytes())
-            except (OSError, CheckpointError) as exc:
-                self._quarantine(path, exc)
-                continue
-            self.hits += 1
-            return snapshot
-        self.misses += 1
-        return None
-
-    def _quarantine(self, path: pathlib.Path, exc: Exception) -> None:
-        """Move an unusable snapshot aside for autopsy; never raises."""
-        _log.warning("checkpoint %s unusable (%s); quarantining", path, exc)
-        dest = self.root / "quarantine" / path.parent.name / path.name
-        try:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
-        except OSError:
-            # Best-effort: an immovable corrupt snapshot is still skipped
-            # by the largest-first scan, it just stays in place.
-            try:
-                path.unlink()
-            except OSError:
-                return
-        self.quarantined += 1
+        return self.fetch(
+            (
+                self.path_for(prefix, committed)
+                for committed in reversed(self.committed_counts(prefix))
+                if committed <= max_committed
+            ),
+            Snapshot.from_bytes,
+        )
 
     def put(self, prefix: str, snapshot: Snapshot) -> bool:
         """Durably store one snapshot; returns False when skipped.
@@ -171,34 +128,10 @@ class CheckpointStore:
         An existing file for the same (prefix, committed) is left alone:
         determinism makes it byte-identical to what we would write.
         """
-        if self.disabled:
-            return False
         path = self.path_for(prefix, snapshot.committed)
         if path.exists():
             return False
-        tmp = path.with_name(path.name + _tmp_suffix())
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                handle.write(snapshot.to_bytes())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            if exc.errno in _DISK_FULL_ERRNOS:
-                _log.warning(
-                    "checkpoint disk full (%s); disabling saves", exc
-                )
-                self.disabled = True
-            else:
-                _log.debug("checkpoint store failed for %s: %s", path, exc)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        self.stores += 1
-        return True
+        return self.write(path, snapshot.to_bytes())
 
     def save(self, prefix: str, sim) -> bool:
         """Capture-and-store if ``sim`` is quiescent; False otherwise.
@@ -218,59 +151,3 @@ class CheckpointStore:
         except CheckpointError as exc:
             _log.debug("checkpoint capture skipped: %s", exc)
             return False
-
-
-# ---------------------------------------------------------------------------
-# Maintenance shared with the result cache (the `repro cache` subcommand).
-# ---------------------------------------------------------------------------
-def scan_usage(root: pathlib.Path) -> Dict[str, Dict[str, int]]:
-    """Entry counts and byte totals for each section of a cache root."""
-    usage: Dict[str, Dict[str, int]] = {}
-    for section, suffix in (("results", ".json"), ("checkpoints", _SUFFIX)):
-        entries = 0
-        size = 0
-        base = root / section
-        if base.is_dir():
-            for path in base.rglob(f"*{suffix}"):
-                try:
-                    size += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-        usage[section] = {"entries": entries, "bytes": size}
-    return usage
-
-
-def prune(root: pathlib.Path, max_bytes: int) -> Tuple[int, int]:
-    """Delete oldest entries until the root fits ``max_bytes``.
-
-    Covers both sections (result JSON and checkpoint files), oldest
-    modification time first — checkpoints from a superseded sweep age
-    out exactly like stale result entries.  Returns
-    ``(files_deleted, bytes_freed)``.
-    """
-    candidates = []
-    for section, suffix in (("results", ".json"), ("checkpoints", _SUFFIX)):
-        base = root / section
-        if not base.is_dir():
-            continue
-        for path in base.rglob(f"*{suffix}"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            candidates.append((stat.st_mtime, stat.st_size, path))
-    total = sum(size for _mtime, size, _path in candidates)
-    candidates.sort()
-    deleted = 0
-    freed = 0
-    for _mtime, size, path in candidates:
-        if total - freed <= max_bytes:
-            break
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        deleted += 1
-        freed += size
-    return deleted, freed

@@ -745,15 +745,12 @@ class ExperimentEngine:
         payload = self.cache.get(key)
         if payload is None:
             return None
-        try:
-            result = SimulationResult.from_dict(payload["result"])
-        except Exception:
-            _log.debug("cache entry %s failed to replay; miss", key)
-            return None
         elapsed = payload.get("elapsed_s", 0.0)
         saved = elapsed if isinstance(elapsed, (int, float)) else 0.0
         self.stats.wall_time_saved_s += saved
-        return JobOutcome(result=result, cached=True, elapsed_s=saved)
+        return JobOutcome(
+            result=payload["replay"], cached=True, elapsed_s=saved
+        )
 
     @property
     def _ckpt_root(self) -> Optional[str]:

@@ -16,14 +16,11 @@ Design points, in the spirit of the paper's cheap-common-case rule:
 * **Append-only.**  A record is one line; the only mutation the happy
   path ever performs is ``write + flush + fsync``.  No index, no seek,
   no in-place update to corrupt.
-* **Self-verifying records.**  Each record carries ``sum``, a truncated
-  SHA-256 over the canonical JSON of the rest of the record.  Recovery
-  treats a line that fails to parse *or* to verify as absent — torn
-  writes tear exactly one record, never the log.
-* **Atomic rotation.**  :meth:`rotate` compacts history into one
-  submit-plus-terminal-event pair per job, written to a temp file,
-  fsynced, then ``os.replace``d over the live log — crash-safe at every
-  instant.
+* **Self-verifying records.**  Each record carries ``sum``, the
+  :func:`~repro.harness.blobstore.payload_checksum` of the rest of the
+  record (the checksum that also guards result-cache entries).
+  Recovery treats a line that fails to parse *or* to verify as absent —
+  torn writes tear exactly one record, never the log.
 * **Non-fatal by construction.**  Once open, append failures degrade to
   a disabled journal (logged) rather than failing the sweep; the journal
   observes the fleet, it must never kill it.
@@ -31,8 +28,6 @@ Design points, in the spirit of the paper's cheap-common-case rule:
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import pathlib
@@ -41,6 +36,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import JournalError
 from ..logutil import get_logger
+from .blobstore import payload_checksum, stable_hash
 
 _log = get_logger("journal")
 
@@ -64,17 +60,6 @@ EVENTS = (
     "quarantined",  # poisoned after repeated strikes; removed from play
     "interrupted",  # the sweep was cancelled (SIGINT/SIGTERM)
 )
-
-#: Events that end a job's life for resume purposes.
-_TERMINAL = {"done", "failed", "quarantined", "cached"}
-
-
-def _checksum(record: Dict) -> str:
-    canonical = json.dumps(
-        record, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
 
 @dataclass
 class JobRecord:
@@ -122,15 +107,13 @@ class JournalState:
 class JobJournal:
     """Append-only checksummed journal under one directory.
 
-    ``fsync=False`` trades durability for speed (tests, tmpfs); the
-    default journals every transition through to the platform's disk
-    before the engine proceeds.
+    Every append is fsynced through to the platform's disk before the
+    engine proceeds.
     """
 
-    def __init__(self, root: os.PathLike, fsync: bool = True) -> None:
+    def __init__(self, root: os.PathLike) -> None:
         self.root = pathlib.Path(root)
         self.path = self.root / JOURNAL_NAME
-        self.fsync = fsync
         self.disabled = False
         self.appended = 0
         self._seq = 0
@@ -177,7 +160,7 @@ class JobJournal:
         }
         if data:
             record["data"] = data
-        record["sum"] = _checksum(record)
+        record["sum"] = payload_checksum(record)
         line = json.dumps(
             record, sort_keys=True, separators=(",", ":"), ensure_ascii=True
         )
@@ -187,8 +170,7 @@ class JobJournal:
             handle = self._open()
             handle.write(line + "\n")
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         except OSError as exc:
             _log.warning("journal disabled after write failure: %s", exc)
             self.disabled = True
@@ -263,7 +245,7 @@ class JobJournal:
         if not isinstance(record, dict) or record.get("v") != FORMAT_VERSION:
             return None
         expected = record.pop("sum", None)
-        if expected != _checksum(record):
+        if expected != payload_checksum(record):
             return None
         return record
 
@@ -309,74 +291,6 @@ class JobJournal:
             job.state = "quarantined"
             job.error = data.get("error")
 
-    # ------------------------------------------------------------------
-    # Rotation.
-    # ------------------------------------------------------------------
-    def rotate(self) -> int:
-        """Atomically compact the log to current state; returns records
-        dropped.
-
-        The compacted log carries, per job, one ``submit`` record (spec
-        preserved) plus one terminal/last-state record — byte-for-byte a
-        valid journal, so ``recover`` of the rotated log equals
-        ``recover`` of the original.
-        """
-        state = self.recover()
-        before = state.records + state.skipped
-        self.close()
-        tmp = self.path.with_name(
-            f".{self.path.name}.rotate.{os.getpid()}"
-        )
-        seq = 0
-        records: List[Dict] = []
-
-        def emit(event, key=None, data=None):
-            nonlocal seq
-            seq += 1
-            record = {
-                "v": FORMAT_VERSION, "seq": seq, "event": event, "key": key,
-            }
-            if data:
-                record["data"] = data
-            record["sum"] = _checksum(record)
-            records.append(record)
-
-        if state.sweep is not None:
-            emit("sweep", data=state.sweep)
-        for key, job in state.jobs.items():
-            emit("submit", key, {"job": job.job} if job.job else None)
-            for _ in range(job.strikes):
-                emit("reclaimed", key)
-            if job.state == "running":
-                emit("start", key)
-            elif job.state == "done":
-                emit("done", key, {"elapsed_s": job.elapsed_s})
-            elif job.state == "failed":
-                emit("failed", key, {"error": job.error})
-            elif job.state == "quarantined":
-                emit("quarantined", key, {"error": job.error})
-        if state.interrupted:
-            emit("interrupted")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(json.dumps(
-                        record, sort_keys=True, separators=(",", ":"),
-                        ensure_ascii=True,
-                    ) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            _log.warning("journal rotation failed: %s", exc)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return 0
-        self._seq = seq
-        return max(0, before - seq)
-
 
 def job_key(spec: Dict) -> str:
     """The journal/chaos identity of a job: a stable hash of its spec.
@@ -385,6 +299,4 @@ def job_key(spec: Dict) -> str:
     in — journal keys must survive a commit so chaos schedules and
     resumed sweeps stay aligned with their logs.
     """
-    from .cache import stable_hash
-
     return stable_hash(spec)

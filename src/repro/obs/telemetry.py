@@ -137,10 +137,12 @@ def prometheus_text(metrics: MetricsRegistry) -> str:
 
 
 def write_prometheus(metrics: MetricsRegistry, path: os.PathLike) -> None:
-    """Write the registry as a Prometheus-text ``/metrics`` snapshot."""
-    pathlib.Path(path).write_text(
-        prometheus_text(metrics), encoding="utf-8"
-    )
+    """Atomically publish the registry as a Prometheus-text ``/metrics``
+    snapshot."""
+    # Imported late: importing repro.harness imports this module.
+    from ..harness.blobstore import publish
+
+    publish(pathlib.Path(path), prometheus_text(metrics).encode("utf-8"))
 
 
 class TelemetryHub:
@@ -355,15 +357,14 @@ class TelemetryHub:
         """
         if self.out_dir is None:
             return
+        from ..harness.blobstore import publish
+
         self._last_flush = self.clock()
         try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            snapshot = self.snapshot()
-            tmp = self.out_dir / f".{TELEMETRY_SNAPSHOT}.tmp"
-            tmp.write_text(
-                json.dumps(snapshot, sort_keys=True), encoding="utf-8"
+            publish(
+                self.out_dir / TELEMETRY_SNAPSHOT,
+                json.dumps(self.snapshot(), sort_keys=True).encode("utf-8"),
             )
-            os.replace(tmp, self.out_dir / TELEMETRY_SNAPSHOT)
             write_prometheus(self.metrics, self.out_dir / TELEMETRY_PROM)
             with self._lock:
                 engine_spans = list(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness import cache as _cache
+from repro.harness import blobstore as _blobstore
 
 
 @pytest.fixture(autouse=True)
@@ -13,7 +13,7 @@ def _isolated_result_cache(tmp_path_factory, monkeypatch):
     REPRO_CACHE_DIR at a session-scoped temp directory (shared within
     the session so baseline-reuse still works across tests)."""
     root = tmp_path_factory.getbasetemp() / "repro-cache"
-    monkeypatch.setenv(_cache.ENV_CACHE_DIR, str(root))
+    monkeypatch.setenv(_blobstore.ENV_CACHE_DIR, str(root))
 
 from repro.config import (
     DLTConfig,

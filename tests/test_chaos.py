@@ -97,7 +97,7 @@ class TestChaosEquivalence:
 
     def test_killed_workers_do_not_change_the_figure(self, tmp_path):
         clean = self._figure(_engine(tmp_path, "clean"))
-        journal = JobJournal(tmp_path / "journal", fsync=False)
+        journal = JobJournal(tmp_path / "journal")
         chaotic_engine = _engine(
             tmp_path, "chaos", workers=2, journal=journal,
             chaos=ChaosPlan(seed=7, kill_rate=0.2),
@@ -134,7 +134,7 @@ class TestChaosEquivalence:
         assert outcome.resumed_from == job.total_budget()
 
     def test_torn_journal_recovers_everything_else(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal", fsync=False)
+        journal = JobJournal(tmp_path / "journal")
         engine = _engine(
             tmp_path, "torn", journal=journal,
             chaos=ChaosPlan(seed=7, torn_journal=1, kill_rate=0.2),
@@ -142,7 +142,7 @@ class TestChaosEquivalence:
         clean = self._figure(_engine(tmp_path, "clean"))
         assert self._figure(engine) == clean
         assert engine.chaos.journal_tears == 1
-        state = JobJournal(tmp_path / "journal", fsync=False).recover()
+        state = JobJournal(tmp_path / "journal").recover()
         assert state.skipped >= 1  # the torn line failed its checksum
         # A torn 'start' is superseded by its job's terminal record.
         assert state.unfinished() == []

@@ -26,12 +26,11 @@ from repro.checkpoint import (
     Snapshot,
     capture,
     is_quiescent,
-    prune,
     restore,
-    scan_usage,
 )
 from repro.config import PrefetchPolicy, SimulationConfig
 from repro.errors import CheckpointError
+from repro.harness.blobstore import prune, scan_usage
 from repro.harness.engine import ExperimentEngine, make_job
 from repro.harness.runner import Simulation
 from repro.workloads.registry import BENCHMARK_NAMES

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -54,6 +56,38 @@ class TestCLI:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure", "42"])
+
+
+class TestCacheCLI:
+    def test_stats_and_prune_cover_every_file_under_the_root(
+        self, tmp_path, capsys
+    ):
+        """Quarantined files and the temps a killed writer leaves behind
+        are counted by ``stats`` and deleted by ``prune`` like entries."""
+        root = tmp_path / "cache"
+        for name, data in {
+            "results/ab/ab01.json": b"{}",
+            "checkpoints/cd/cdef/0000000000000100.ckpt": b"x" * 64,
+            "quarantine/ab02.json": b"garbage",
+            "results/ab/.ab03.json.tmp.1.2.3": b"half-written",
+        }.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        cache = ["cache", "--dir", str(root)]
+
+        assert main(cache + ["stats"]) == 0
+        out = capsys.readouterr().out
+        assert "results (1 entries)" in out
+        assert "checkpoints (1 entries)" in out
+        assert "quarantine (1 entries)" in out
+        assert re.search(r"^total\s+85 bytes \(4 entries\)$", out, re.M)
+
+        assert main(cache + ["prune", "--max-bytes", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "pruned 4 files (85 bytes)" in out
+        assert re.search(r"^total\s+0 bytes", out, re.M)
+        assert [p for p in root.rglob("*") if p.is_file()] == []
 
 
 class TestFleetTelemetryCLI:

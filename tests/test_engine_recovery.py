@@ -71,7 +71,7 @@ class TestSupervisedRecovery:
 
     def test_journal_records_reclaims(self, tmp_path):
         jobs = _jobs()
-        journal = JobJournal(tmp_path / "j", fsync=False)
+        journal = JobJournal(tmp_path / "j")
         engine = _chaos_engine(
             tmp_path, {job_key(jobs[0].spec()): 1}, journal=journal
         )
@@ -98,7 +98,7 @@ class TestInterruptFlush:
 
         monkeypatch.setattr(engine_mod, "_execute_job", interrupt_on_dot)
         cache = ResultCache(tmp_path / "cache")
-        journal = JobJournal(tmp_path / "j", fsync=False)
+        journal = JobJournal(tmp_path / "j")
         engine = ExperimentEngine(cache=cache, journal=journal)
         with pytest.raises(KeyboardInterrupt):
             engine.run(jobs)
@@ -110,7 +110,7 @@ class TestInterruptFlush:
 
         monkeypatch.setattr(engine_mod, "_execute_job", real)
         resumed = ExperimentEngine(
-            cache=cache, journal=JobJournal(tmp_path / "j", fsync=False)
+            cache=cache, journal=JobJournal(tmp_path / "j")
         )
         outcomes = resumed.run(jobs)
         assert all(outcome.ok for outcome in outcomes)
@@ -202,26 +202,80 @@ class TestResumeSweepCLI:
         assert "reclaimed=" in captured.err
 
 
+def _cache_publisher(root):
+    cache = ResultCache(root)
+    key = cache.key_for({"k": 1})
+    return cache, cache.path_for(key), lambda n: cache.put(
+        key, {"k": 1}, {"ipc": float(n)}, 0.1
+    )
+
+
+def _checkpoint_publisher(root):
+    from repro.checkpoint import FORMAT_VERSION, CheckpointStore, Snapshot
+
+    store = CheckpointStore(root)
+    prefix = "ab" * 32
+
+    def publish(committed):
+        return store.put(prefix, Snapshot(
+            header={
+                "format": FORMAT_VERSION, "committed": committed,
+                "cycles": 2.0 * committed, "payload_bytes": 1,
+            },
+            payload=b"x",
+        ))
+
+    return store, store.path_for(prefix, 1), publish
+
+
+def _telemetry_publisher(root):
+    from repro.obs.telemetry import TelemetryHub
+
+    hub = TelemetryHub(out_dir=root)
+
+    def publish(n):
+        hub.metrics.gauge("test.publishes").set(n)
+        hub.flush()
+
+    return None, root / "telemetry.json", publish
+
+
 class TestHardenedStores:
+    @pytest.mark.parametrize(
+        "publisher, engine_arg",
+        [
+            (_cache_publisher, "cache"),
+            (_checkpoint_publisher, "checkpoints"),
+            (_telemetry_publisher, None),
+        ],
+        ids=["ResultCache", "CheckpointStore", "TelemetryHub"],
+    )
     def test_disk_full_disables_cache_not_the_sweep(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, publisher, engine_arg
     ):
+        """ENOSPC on publish keeps the last published file intact, leaves
+        no temp beside it, and turns a store off for the rest of the
+        run instead of failing the sweep."""
         import errno
 
-        cache = ResultCache(tmp_path / "cache")
-        real_replace = os.replace
+        store, target, publish = publisher(tmp_path / "store")
+        assert publish(1) is not False
+        published = target.read_bytes()
 
         def replace_enospc(src, dst):
             raise OSError(errno.ENOSPC, "no space left on device")
 
         monkeypatch.setattr(os, "replace", replace_enospc)
-        key = cache.key_for({"k": 1})
-        assert cache.put(key, {"k": 1}, {"ipc": 1.0}, 0.1) is False
-        assert cache.disabled
-        monkeypatch.setattr(os, "replace", real_replace)
+        assert not publish(2)
+        monkeypatch.undo()
+        assert target.read_bytes() == published
+        assert not [p for p in target.parent.iterdir() if ".tmp." in p.name]
+        if engine_arg is None:
+            return
+        assert store.disabled
         # Still off for the rest of the run — degraded, not flapping.
-        assert cache.put(key, {"k": 1}, {"ipc": 1.0}, 0.1) is False
-        engine = ExperimentEngine(cache=cache)
+        assert publish(3) is False
+        engine = ExperimentEngine(**{engine_arg: store})
         assert engine.run(_jobs(("art",)))[0].ok
 
     def test_checkpoint_quarantine_moves_corrupt_snapshot(self, tmp_path):

@@ -30,7 +30,7 @@ def _job(workload="art", **overrides):
 
 class TestAppendRecover:
     def test_round_trip_reconstructs_job_states(self, tmp_path):
-        journal = JobJournal(tmp_path, fsync=False)
+        journal = JobJournal(tmp_path)
         job = _job()
         key = job_key(job.spec())
         journal.append("sweep", argv=["figure", "5"])
@@ -49,7 +49,7 @@ class TestAppendRecover:
         assert state.unfinished() == []
 
     def test_unfinished_jobs_surface_for_resume(self, tmp_path):
-        journal = JobJournal(tmp_path, fsync=False)
+        journal = JobJournal(tmp_path)
         done, stuck = _job("art"), _job("dot")
         for job in (done, stuck):
             journal.append(
@@ -64,7 +64,7 @@ class TestAppendRecover:
         assert pending[0].state == "running"
 
     def test_reclaim_counts_strikes_and_requeues(self, tmp_path):
-        journal = JobJournal(tmp_path, fsync=False)
+        journal = JobJournal(tmp_path)
         key = job_key(_job().spec())
         journal.append("submit", key=key, job=_job().to_dict())
         journal.append("start", key=key)
@@ -78,21 +78,21 @@ class TestAppendRecover:
         assert not record.finished
 
     def test_unknown_event_raises(self, tmp_path):
-        journal = JobJournal(tmp_path, fsync=False)
+        journal = JobJournal(tmp_path)
         with pytest.raises(JournalError, match="unknown journal event"):
             journal.append("vanished", key="k")
 
     def test_sequence_continues_across_reopen(self, tmp_path):
-        first = JobJournal(tmp_path, fsync=False)
+        first = JobJournal(tmp_path)
         seq = first.append("sweep", argv=[])
         first.close()
-        second = JobJournal(tmp_path, fsync=False)
+        second = JobJournal(tmp_path)
         assert second.append("interrupted") == seq + 1
 
 
 class TestCorruptionTolerance:
     def _populated(self, tmp_path) -> JobJournal:
-        journal = JobJournal(tmp_path, fsync=False)
+        journal = JobJournal(tmp_path)
         for name in ("art", "dot"):
             job = _job(name)
             key = job_key(job.spec())
@@ -109,7 +109,7 @@ class TestCorruptionTolerance:
         # Tear the final record mid-write, exactly as a crash would.
         torn = "\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]])
         journal.path.write_text(torn)
-        state = JobJournal(tmp_path, fsync=False).recover()
+        state = JobJournal(tmp_path).recover()
         assert state.skipped == 1
         assert state.records == len(lines) - 1
         # The torn record was 'dot's done: it recovers as unfinished.
@@ -121,7 +121,7 @@ class TestCorruptionTolerance:
         # Flip one byte inside the second record's payload.
         lines[1] = lines[1].replace('"event"', '"Event"', 1)
         journal.path.write_text("\n".join(lines) + "\n")
-        state = JobJournal(tmp_path, fsync=False).recover()
+        state = JobJournal(tmp_path).recover()
         assert state.skipped == 1
         assert state.records == len(lines) - 1
 
@@ -132,19 +132,19 @@ class TestCorruptionTolerance:
         record["data"] = {"argv": ["forged"]}  # sum now stale
         lines[0] = json.dumps(record, sort_keys=True)
         journal.path.write_text("\n".join(lines) + "\n")
-        state = JobJournal(tmp_path, fsync=False).recover()
+        state = JobJournal(tmp_path).recover()
         assert state.skipped == 1
 
     def test_garbage_lines_and_blank_lines_are_skipped(self, tmp_path):
         journal = self._populated(tmp_path)
         with open(journal.path, "a", encoding="utf-8") as fh:
             fh.write("\n{not json\n[1,2]\n")
-        state = JobJournal(tmp_path, fsync=False).recover()
+        state = JobJournal(tmp_path).recover()
         assert state.skipped == 2  # blank line is not even counted
         assert len(state.jobs) == 2
 
     def test_missing_file_recovers_empty(self, tmp_path):
-        state = JobJournal(tmp_path, fsync=False).recover()
+        state = JobJournal(tmp_path).recover()
         assert state.jobs == {}
         assert state.records == 0
 
@@ -162,7 +162,7 @@ class TestCorruptionTolerance:
         # with propagate=False; restore propagation so caplog sees it.
         reset_logging()
         with caplog.at_level("WARNING", logger="repro.journal"):
-            state = JobJournal(tmp_path, fsync=False).recover()
+            state = JobJournal(tmp_path).recover()
         assert state.first_skipped_offset == expected_offset
         messages = [
             r.getMessage() for r in caplog.records
@@ -176,7 +176,7 @@ class TestCorruptionTolerance:
         journal = self._populated(tmp_path)
         with open(journal.path, "ab") as fh:
             fh.write(b"\xff\xfe garbage bytes\n")
-        state = JobJournal(tmp_path, fsync=False).recover()
+        state = JobJournal(tmp_path).recover()
         assert state.skipped == 1
         assert state.first_skipped_offset is not None
         assert len(state.jobs) == 2
@@ -188,42 +188,9 @@ class TestCorruptionTolerance:
         assert state.first_skipped_offset is None
 
 
-class TestRotation:
-    def test_rotate_compacts_but_preserves_state(self, tmp_path):
-        journal = JobJournal(tmp_path, fsync=False)
-        job = _job()
-        key = job_key(job.spec())
-        journal.append("sweep", argv=["claims"])
-        journal.append("submit", key=key, job=job.to_dict())
-        for _ in range(3):  # a noisy history of reclaims
-            journal.append("start", key=key)
-            journal.append("reclaimed", key=key, reason="x")
-        journal.append("start", key=key)
-        journal.append("done", key=key, elapsed_s=2.0)
-        before = journal.recover()
-        dropped = journal.rotate()
-        assert dropped > 0
-        after = JobJournal(tmp_path, fsync=False).recover()
-        assert after.sweep == before.sweep
-        assert after.jobs[key].state == before.jobs[key].state
-        assert after.jobs[key].strikes == before.jobs[key].strikes
-        assert after.jobs[key].job == before.jobs[key].job
-        assert after.records < before.records
-
-    def test_rotated_log_is_append_ready(self, tmp_path):
-        journal = JobJournal(tmp_path, fsync=False)
-        key = job_key(_job().spec())
-        journal.append("submit", key=key, job=_job().to_dict())
-        journal.rotate()
-        assert journal.append("start", key=key) is not None
-        state = JobJournal(tmp_path, fsync=False).recover()
-        assert state.jobs[key].state == "running"
-        assert state.skipped == 0
-
-
 class TestEngineIntegration:
     def test_engine_journals_lifecycle_and_cache_hits(self, tmp_path):
-        journal = JobJournal(tmp_path / "j", fsync=False)
+        journal = JobJournal(tmp_path / "j")
         engine = ExperimentEngine(journal=journal)
         job = _job()
         assert engine.run([job])[0].ok
@@ -233,14 +200,11 @@ class TestEngineIntegration:
 
         # A second engine over the same journal replays from cache and
         # records that as terminal too.
-        second = ExperimentEngine(
-            journal=JobJournal(tmp_path / "j", fsync=False)
-        )
+        second = ExperimentEngine(journal=JobJournal(tmp_path / "j"))
         outcome = second.run([job])[0]
         assert outcome.cached
-        assert JobJournal(
-            tmp_path / "j", fsync=False
-        ).recover().jobs[key].state == "done"
+        state = JobJournal(tmp_path / "j").recover()
+        assert state.jobs[key].state == "done"
 
     def test_every_engine_event_is_a_known_event(self):
         for event in (

@@ -6,9 +6,12 @@ from __future__ import annotations
 import json
 import threading
 
+import pytest
+
 from repro.config import PrefetchPolicy
 from repro.faults.plan import FaultPlan
 from repro.harness import runner, sweep
+from repro.harness.blobstore import payload_checksum
 from repro.harness.cache import (
     ENV_CODE_VERSION,
     ResultCache,
@@ -30,6 +33,13 @@ def _job(**overrides):
     return make_job("art", **kwargs)
 
 
+@pytest.fixture(scope="module")
+def result():
+    """A real result payload: a stored entry must decode into one."""
+    job = _job()
+    return ExperimentEngine(cache=None).run([job])[0].result.to_dict()
+
+
 def test_stable_hash_is_order_insensitive():
     assert stable_hash({"a": 1, "b": [2, 3]}) == stable_hash(
         {"b": [2, 3], "a": 1}
@@ -37,15 +47,15 @@ def test_stable_hash_is_order_insensitive():
     assert stable_hash({"a": 1}) != stable_hash({"a": 2})
 
 
-def test_hit_after_store_miss_before(tmp_path):
+def test_hit_after_store_miss_before(tmp_path, result):
     cache = ResultCache(tmp_path)
     key = cache.key_for(_job().spec())
     assert cache.get(key) is None
     assert cache.misses == 1
-    assert cache.put(key, _job().spec(), {"ipc": 1.0}, elapsed_s=0.5)
+    assert cache.put(key, _job().spec(), result, elapsed_s=0.5)
     payload = cache.get(key)
     assert payload is not None
-    assert payload["result"] == {"ipc": 1.0}
+    assert payload["result"] == result
     assert payload["elapsed_s"] == 0.5
     assert cache.hits == 1
 
@@ -99,11 +109,11 @@ def test_corrupted_entry_is_a_miss_not_a_crash(tmp_path):
     assert cache.get(key) is not None
 
 
-def test_concurrent_writers_never_tear_an_entry(tmp_path):
+def test_concurrent_writers_never_tear_an_entry(tmp_path, result):
     cache = ResultCache(tmp_path)
     spec = _job().spec()
     key = cache.key_for(spec)
-    payload = {"ipc": 1.0, "filler": "x" * 64_000}
+    payload = dict(result, filler="x" * 64_000)
     errors = []
 
     def hammer():
@@ -186,15 +196,15 @@ def test_sweep_baselines_simulated_once_across_ablations(
 class TestReadPathHardening:
     """Every corrupt-entry variant is a quarantined miss, never an error."""
 
-    def _stored(self, tmp_path):
+    def _stored(self, tmp_path, result):
         cache = ResultCache(tmp_path)
         spec = _job().spec()
         key = cache.key_for(spec)
-        assert cache.put(key, spec, {"ipc": 1.0}, elapsed_s=0.1)
+        assert cache.put(key, spec, result, elapsed_s=0.1)
         return cache, key, cache.path_for(key)
 
-    def test_truncated_json_is_quarantined(self, tmp_path):
-        cache, key, path = self._stored(tmp_path)
+    def test_truncated_json_is_quarantined(self, tmp_path, result):
+        cache, key, path = self._stored(tmp_path, result)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         assert cache.get(key) is None
@@ -202,8 +212,8 @@ class TestReadPathHardening:
         assert not path.exists()
         assert (cache.quarantine_dir() / path.name).exists()
 
-    def test_bad_checksum_is_quarantined(self, tmp_path):
-        cache, key, path = self._stored(tmp_path)
+    def test_bad_checksum_is_quarantined(self, tmp_path, result):
+        cache, key, path = self._stored(tmp_path, result)
         payload = json.loads(path.read_text())
         payload["result"]["ipc"] = 9.9  # bit rot; sum now stale
         path.write_text(json.dumps(payload))
@@ -211,16 +221,19 @@ class TestReadPathHardening:
         assert cache.quarantined == 1
         assert not path.exists()
 
-    def test_empty_file_is_quarantined(self, tmp_path):
-        cache, key, path = self._stored(tmp_path)
+    def test_empty_file_is_quarantined(self, tmp_path, result):
+        cache, key, path = self._stored(tmp_path, result)
         path.write_bytes(b"")
         assert cache.get(key) is None
         assert cache.quarantined == 1
 
-    def test_legacy_entry_without_checksum_still_reads(self, tmp_path):
+    def test_legacy_entry_without_checksum_still_reads(
+        self, tmp_path, result
+    ):
         """Entries written before the ``sum`` field are verified only by
-        shape — a miss would needlessly re-simulate on upgrade."""
-        cache, key, path = self._stored(tmp_path)
+        shape and decode — a miss would needlessly re-simulate on
+        upgrade."""
+        cache, key, path = self._stored(tmp_path, result)
         payload = json.loads(path.read_text())
         del payload["sum"]
         path.write_text(json.dumps(payload))
@@ -241,6 +254,23 @@ class TestReadPathHardening:
         assert cache.quarantined == 1
         healed = cache.get(key)
         assert healed is not None
+
+    def test_undecodable_entry_is_quarantined_not_a_hit(self, tmp_path):
+        """An entry whose ``sum`` verifies but whose result no longer
+        decodes is a quarantined miss, not a hit that re-simulates."""
+        job = _job()
+        ExperimentEngine(cache=ResultCache(tmp_path)).run([job])
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(cache.key_for(job.spec()))
+        payload = json.loads(path.read_text())
+        del payload["result"]["cycles"]
+        payload["sum"] = payload_checksum(payload["result"])
+        path.write_text(json.dumps(payload))
+
+        outcome = ExperimentEngine(cache=cache).run([job])[0]
+        assert outcome.ok and not outcome.cached
+        assert (cache.hits, cache.quarantined) == (0, 1)
+        assert (cache.quarantine_dir() / path.name).exists()
 
 
 def test_refresh_overwrites_and_no_cache_skips(tmp_path):

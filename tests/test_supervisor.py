@@ -63,7 +63,7 @@ class TestCrashReclaim:
         job = _job()
         key = job_key(job.spec())
         chaos = _forced_chaos({(key, 0): ChaosDecision(kill_phase="pre")})
-        journal = JobJournal(tmp_path / "j", fsync=False)
+        journal = JobJournal(tmp_path / "j")
         supervisor = WorkerSupervisor(
             workers=1, retry=FAST_RETRY, journal=journal
         )

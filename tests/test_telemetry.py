@@ -278,7 +278,7 @@ class TestFleetTrace:
 
 class TestSpansCoverJournal:
     def _journal_state(self, tmp_path, events):
-        journal = JobJournal(tmp_path / "j", fsync=False)
+        journal = JobJournal(tmp_path / "j")
         for event, key, data in events:
             journal.append(event, key=key, **data)
         journal.close()
@@ -397,7 +397,7 @@ class TestTelemetryEndToEnd:
         journal = None
         hub = None
         if telemetry:
-            journal = JobJournal(tmp_path / f"j{tag}", fsync=False)
+            journal = JobJournal(tmp_path / f"j{tag}")
             hub = TelemetryHub(out_dir=tmp_path / f"j{tag}")
         engine = ExperimentEngine(
             cache=ResultCache(tmp_path / f"c{tag}"),

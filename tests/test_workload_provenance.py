@@ -23,7 +23,7 @@ from repro.scenarios import CATALOG
 
 
 def _state(tmp_path, jobs):
-    journal = JobJournal(tmp_path / "journal", fsync=False)
+    journal = JobJournal(tmp_path / "journal")
     for job in jobs:
         key = job_key(job.spec())
         journal.append("submit", key=key, job=job.to_dict())
@@ -99,7 +99,7 @@ class TestEngineEmitsProvenance:
         """The satellite's end-to-end leg: a real engine run over a
         builtin and a catalog scenario leaves spans that pass both the
         coverage audit and the provenance audit."""
-        journal = JobJournal(tmp_path / "journal", fsync=False)
+        journal = JobJournal(tmp_path / "journal")
         hub = TelemetryHub(out_dir=tmp_path / "journal")
         engine = ExperimentEngine(
             cache=ResultCache(tmp_path / "cache"),
