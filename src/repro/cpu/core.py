@@ -358,10 +358,11 @@ class SMTCore:
 
         # No per-step hooks: batched basic-block execution.  (Traces
         # cannot be active here — entering one requires a runtime.)
-        # Full blocks run as a single pre-compiled closure that keeps
-        # the scalar pipeline state in locals (see fastpath.compile_
-        # batches); clamped runs — budget tail or a watchdog boundary —
-        # fall back to stepping the per-instruction handlers.
+        # A block entered at its leader runs whole as one closure that
+        # keeps the scalar pipeline state in locals (see fastpath.
+        # compile_batches); clamped runs — budget tail or a watchdog
+        # boundary — and the rest of a block entered mid-way after one
+        # step the per-instruction handlers.
         block_len = self._fast_block_len
         batches = self._fast_batches
         if batches is None:
@@ -377,8 +378,9 @@ class SMTCore:
                 if run_len > steps_until_check:
                     run_len = steps_until_check
             if run_len > 1:
-                if run_len == block_len[pc]:
-                    batches[pc]()
+                batch = batches[pc]
+                if batch is not None and run_len == block_len[pc]:
+                    batch()
                 else:
                     for handler in handlers[pc:pc + run_len]:
                         handler()

@@ -123,9 +123,16 @@ def _patch_lookup(runtime):
 
 
 def block_lengths(instructions) -> list:
-    """``block_len[pc]`` = length of the straight-line batchable run
-    starting at ``pc`` (always >= 1; boundary opcodes get 1)."""
+    """``block_len[pc]`` = instructions from ``pc`` to the end of its
+    basic block's straight-line batchable run (always >= 1; boundary
+    opcodes get 1).
+
+    A block ends before a boundary opcode and before a branch target (a
+    leader), so blocks never overlap: starting at PC 0, ``pc +=
+    block_len[pc]`` visits exactly the block leaders.
+    """
     n = len(instructions)
+    targets = {inst.target for inst in instructions}
     lens = [1] * n
     run = 0
     for i in range(n - 1, -1, -1):
@@ -133,6 +140,8 @@ def block_lengths(instructions) -> list:
             run += 1
             lens[i] = run
         else:
+            run = 0
+        if i in targets:
             run = 0
     return lens
 
@@ -1237,9 +1246,15 @@ _K_LOAD, _K_STORE, _K_PREFETCH = 4, 5, 6
 
 
 def compile_batches(core):
-    """Return ``batches[pc]`` = one closure executing the whole batchable
-    run starting at ``pc``, or None where the run is a single
-    instruction (the per-instruction handler wins there).
+    """Return ``batches[pc]``: at each block leader whose block is at
+    least two instructions long, a closure that executes the whole
+    block; None everywhere else (the per-instruction handlers step
+    there, including the rest of a block entered mid-way after a budget
+    or watchdog clamp).
+
+    A leader's batch is compiled on its first full-block entry, so a
+    run compiles only the blocks it executes whole, each once: together
+    they cover at most ``len(program)`` instructions.
 
     Only used by cores running without runtime/injector hooks, so the
     helper-interference check compiles away entirely (matching the
@@ -1249,12 +1264,25 @@ def compile_batches(core):
     instructions = core.program.instructions
     lens = block_lengths(instructions)
     batches = [None] * len(instructions)
-    for pc, ln in enumerate(lens):
+    pc = 0
+    while pc < len(lens):
+        ln = lens[pc]
         if ln >= 2:
-            batches[pc] = _compile_batch(
-                core, pc, instructions[pc:pc + ln]
+            batches[pc] = _compile_on_entry(
+                core, batches, pc, instructions[pc:pc + ln]
             )
+        pc += ln
     return batches
+
+
+def _compile_on_entry(core, batches, pc, insts):
+    """A stand-in for ``batches[pc]`` that compiles the block's batch,
+    installs it in its place and runs it."""
+    def first_entry():
+        batch = batches[pc] = _compile_batch(core, pc, insts)
+        batch()
+
+    return first_entry
 
 
 def _compile_batch(core, pc, insts):

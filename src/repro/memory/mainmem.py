@@ -20,6 +20,10 @@ Number = Union[int, float]
 HEAP_BASE = 0x1_0000
 
 WORD_SIZE = 8
+_ALIGN = ~(WORD_SIZE - 1)
+
+#: The image of a memory that has none (never written).
+_NO_IMAGE: Dict[int, Number] = {}
 
 
 class DataMemory:
@@ -29,43 +33,87 @@ class DataMemory:
     load relies on); plain loads to unmapped addresses also read 0 but the
     event is counted so tests can assert a workload never does it by
     accident.
+
+    A memory may sit on a read-only *image*, the word dict of a memory
+    that was built once and is shared by every run that starts from it
+    (:meth:`view`).  Reads fall through this memory's own words to the
+    image; writes only ever land in its own words, so views never see
+    each other's stores and the image never changes.  Pickled, a view is
+    indistinguishable from a memory built with the same writes: its state
+    is the merged word dict, in the order a single dict would hold it.
     """
 
     def __init__(self) -> None:
         self._words: Dict[int, Number] = {}
         self.unmapped_reads = 0
+        self._image: Dict[int, Number] = _NO_IMAGE
 
-    @staticmethod
-    def _align(addr: int) -> int:
-        return addr & ~(WORD_SIZE - 1)
+    def view(self) -> "DataMemory":
+        """A fresh copy-on-write memory whose image is this memory's
+        words; this memory must not be written while views exist."""
+        view = DataMemory()
+        view._image = self.words()
+        return view
+
+    def words(self) -> Dict[int, Number]:
+        """Every mapped word, address -> value, in the order one dict
+        written with the same stores would hold them.  May be the live
+        store or the image itself: read it, never modify it."""
+        image = self._image
+        if not image:
+            return self._words
+        if not self._words:
+            return image
+        merged = dict(image)
+        merged.update(self._words)
+        return merged
+
+    def __getstate__(self):
+        return {"_words": self.words(), "unmapped_reads": self.unmapped_reads}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._image = _NO_IMAGE
 
     def read(self, addr: int) -> Number:
         """Read the word containing byte address ``addr``."""
-        word = self._words.get(self._align(addr))
+        addr &= _ALIGN
+        word = self._words.get(addr)
         if word is None:
-            self.unmapped_reads += 1
-            return 0
+            word = self._image.get(addr)
+            if word is None:
+                self.unmapped_reads += 1
+                return 0
         return word
 
     def read_quiet(self, addr: int) -> Number:
         """Read without counting unmapped accesses (non-faulting load)."""
-        return self._words.get(self._align(addr), 0)
+        addr &= _ALIGN
+        word = self._words.get(addr)
+        if word is None:
+            return self._image.get(addr, 0)
+        return word
 
     def write(self, addr: int, value: Number) -> None:
         """Write the word containing byte address ``addr``."""
-        self._words[self._align(addr)] = value
+        self._words[addr & _ALIGN] = value
 
     def is_mapped(self, addr: int) -> bool:
-        return self._align(addr) in self._words
+        addr &= _ALIGN
+        return addr in self._words or addr in self._image
 
     def __len__(self) -> int:
-        return len(self._words)
+        image = self._image
+        if not image:
+            return len(self._words)
+        return len(image) + sum(1 for addr in self._words if addr not in image)
 
     def write_array(self, base: int, values: Iterable[Number]) -> None:
         """Write consecutive words starting at ``base``."""
-        addr = self._align(base)
+        addr = base & _ALIGN
+        words = self._words
         for value in values:
-            self._words[addr] = value
+            words[addr] = value
             addr += WORD_SIZE
 
 

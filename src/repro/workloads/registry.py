@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import dataclasses
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import (
     applu,
@@ -58,18 +59,37 @@ _BUILDERS: Dict[str, Callable[[int], Workload]] = {
 }
 
 
+#: The last workload built and its (name, seed).  Every run of a sweep
+#: starts from the same initial memory image, so it is built once and
+#: each load hands out a copy-on-write view of it.  One entry only: a
+#: sweep visits its workloads in turn, and each image is tens of MB.
+_last: Optional[Tuple[Tuple[str, int], Workload]] = None
+
+
 def load_workload(name: str, seed: int = 1) -> Workload:
-    """Build the named benchmark workload.
+    """The named benchmark workload, ready to run.
 
     Building is deterministic for a given (name, seed): identical layout,
-    identical program.
+    identical program.  Consecutive loads of the same (name, seed) build
+    once: each returns a new :class:`Workload` that shares the (never
+    modified) :class:`Program` and gets its own copy-on-write view of the
+    built memory (:meth:`DataMemory.view`), so runs never see each
+    other's stores.
     """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BUILDERS))
-        raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-    return builder(seed)
+    global _last
+    key = (name, seed)
+    if _last is None or _last[0] != key:
+        try:
+            builder = _BUILDERS[name]
+        except KeyError:
+            known = ", ".join(sorted(_BUILDERS))
+            raise KeyError(
+                f"unknown workload {name!r}; known: {known}"
+            ) from None
+        _last = None  # release the old image before building the next
+        _last = (key, builder(seed))
+    built = _last[1]
+    return dataclasses.replace(built, memory=built.memory.view())
 
 
 def all_workload_names() -> List[str]:

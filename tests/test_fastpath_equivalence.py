@@ -26,6 +26,7 @@ import pytest
 
 from conftest import simple_stride_program
 from repro.config import MachineConfig, PrefetchPolicy
+from repro.cpu import fastpath
 from repro.cpu.core import SMTCore
 from repro.harness.cache import ResultCache
 from repro.harness.engine import ExperimentEngine, make_job
@@ -35,7 +36,7 @@ from repro.hwprefetch.zoo import zoo_names
 from repro.memory.mainmem import DataMemory
 from repro.obs import Observer
 from repro.obs.export import write_jsonl
-from repro.workloads import BENCHMARK_NAMES
+from repro.workloads import BENCHMARK_NAMES, load_workload
 
 BUDGET = 2_000
 WARMUP = 500
@@ -76,6 +77,39 @@ class TestEveryPolicy:
     def test_payload_identical(self, name, policy):
         slow = _run(name, fast=False, policy=policy)
         fast = _run(name, fast=True, policy=policy)
+        assert _canon(fast) == _canon(slow)
+
+
+class TestLeaderOnlyBatches:
+    """Batches compile at block leaders only, each once per core, so a
+    run's compiled batches cover the program at most once — even where
+    budget and watchdog clamps re-enter blocks mid-way (applu's long
+    blocks, parser's many small ones)."""
+
+    @pytest.mark.parametrize("name", ["applu", "parser"])
+    def test_batches_cover_the_program_at_most_once(self, name, monkeypatch):
+        compiled = []
+        real = fastpath._compile_batch
+
+        def recording(core, pc, insts):
+            compiled.append((pc, len(insts)))
+            return real(core, pc, insts)
+
+        monkeypatch.setattr(fastpath, "_compile_batch", recording)
+        run = dict(policy=PrefetchPolicy.HW_ONLY, max_instructions=20_000,
+                   warmup_instructions=5_000)
+        fast = _run(name, fast=True, **run)
+        program = load_workload(name).program
+        pcs = [pc for pc, _ in compiled]
+        assert len(pcs) == len(set(pcs))
+        assert sum(n for _, n in compiled) <= len(program)
+        # Branch targets lead blocks: loop bodies still run batched.
+        loop_heads = {
+            inst.target for pc, inst in enumerate(program.instructions)
+            if inst.is_conditional_branch and inst.target <= pc
+        }
+        assert loop_heads & set(pcs)
+        slow = _run(name, fast=False, **run)
         assert _canon(fast) == _canon(slow)
 
 

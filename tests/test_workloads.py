@@ -27,12 +27,20 @@ class TestRegistry:
             load_workload("spec2077")
 
     def test_deterministic_build(self):
+        # Against a direct build: a second load_workload call would only
+        # hand out another view of the same memoized image.
+        from repro.workloads import mcf
+
         a = load_workload("mcf", seed=3)
-        b = load_workload("mcf", seed=3)
+        b = mcf.build(3)
         assert len(a.program) == len(b.program)
         assert len(a.memory) == len(b.memory)
         for x, y in zip(a.program.instructions, b.program.instructions):
             assert x.opcode == y.opcode and x.disp == y.disp
+        # Word by word, in insertion order.
+        assert list(a.memory.words().items()) == list(
+            b.memory.words().items()
+        )
 
     def test_seed_changes_layout(self):
         a = load_workload("dot", seed=1)
