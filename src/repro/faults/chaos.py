@@ -7,8 +7,9 @@ perturbs the *experiment fleet itself* — SIGKILLs a worker mid-job,
 hangs one past its lease, tears a journal record in half, corrupts a
 result-cache entry after it lands — and the recovery machinery
 (:mod:`repro.harness.supervisor`, :mod:`repro.harness.journal`, the
-hardened stores) must produce byte-identical tables anyway.  CI's
-``chaos-smoke`` job holds the repo to that.
+hardened stores) must produce byte-identical tables anyway.
+``tests/test_chaos.py`` holds the repo to that in-process, and CI's
+``smoke`` job repeats it through the CLI.
 
 Everything is seeded and keyed on the **code-version-independent** job
 key (:func:`repro.harness.journal.job_key`), so a chaos schedule is a

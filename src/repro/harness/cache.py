@@ -11,7 +11,10 @@ silently invalidates every prior entry.
 
 Entries store ``SimulationResult.to_dict()`` (plus the wall time the
 original run cost, so the engine can report time saved) and ``sum``, a
-truncated SHA-256 over the canonical JSON of that result payload.  The
+truncated SHA-256 over the canonical JSON of that result payload.  A
+result is a plain value whose fields are exactly that payload, so
+``SimulationResult.from_dict`` rebuilds the same class the live run
+returned, equal to it and byte-identical when re-serialised.  The
 durability rules — atomic synced publish, quarantine of entries that
 fail their verified read, cache-off mode on a full disk — come from
 :class:`~repro.harness.blobstore.BlobStore`; this module adds only the

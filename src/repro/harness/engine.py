@@ -449,9 +449,10 @@ def _execute_job(
     return result, elapsed, resumed_from
 
 
-def _error_record(job: SimJob, exc: BaseException, retried: bool) -> Dict:
+def _error_record(workload: str, exc: BaseException, retried: bool) -> Dict:
+    """One isolated failure as the ``errors`` entry a figure renders."""
     record = {
-        "workload": job.workload,
+        "workload": workload,
         "type": type(exc).__name__,
         "error": str(exc),
     }
@@ -490,9 +491,11 @@ def _worker(
                 return attempt()
             except Exception as retry_exc:
                 return JobOutcome(
-                    error=_error_record(job, retry_exc, retried=True)
+                    error=_error_record(job.workload, retry_exc, retried=True)
                 )
-        return JobOutcome(error=_error_record(job, exc, retried=False))
+        return JobOutcome(
+            error=_error_record(job.workload, exc, retried=False)
+        )
 
 
 class ExperimentEngine:
@@ -837,7 +840,7 @@ class ExperimentEngine:
                 if outcome is None:
                     outcome = JobOutcome(
                         error=_error_record(
-                            jobs[index],
+                            jobs[index].workload,
                             WorkerCrashError(
                                 "job never produced an outcome"
                             ),

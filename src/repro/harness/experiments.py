@@ -27,6 +27,7 @@ from ..workloads.registry import BENCHMARK_NAMES
 from .charts import sparkline
 from .engine import (
     ExperimentEngine,
+    _error_record,
     make_job,
     run_workload_groups,
 )
@@ -45,17 +46,6 @@ ENV_WARMUP = "REPRO_BENCH_WARMUP"
 ENV_WORKLOADS = "REPRO_BENCH_WORKLOADS"
 
 _T = TypeVar("_T")
-
-
-def _error_record(workload: str, exc: Exception, retried: bool) -> Dict:
-    record = {
-        "workload": workload,
-        "type": type(exc).__name__,
-        "error": str(exc),
-    }
-    if retried:
-        record["retried"] = True
-    return record
 
 
 def run_isolated(
@@ -1020,7 +1010,7 @@ def _resilience_metrics(samples, chunks: int) -> Dict:
     """Window math shared by the engine and trace-export paths: IPC dip,
     recovery ratio, and reconvergence point around the mid-run fault."""
     windows: List[Dict] = [
-        {"ipc": s.ipc, "repairs": s.repairs} for s in samples
+        {"ipc": s["ipc"], "repairs": s["repairs"]} for s in samples
     ]
     half = chunks // 2
     pre, post = windows[:half], windows[half:]

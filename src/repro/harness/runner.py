@@ -19,7 +19,7 @@ from ..config import (
     SimulationConfig,
     TridentConfig,
 )
-from ..cpu.core import CoreStats, SMTCore
+from ..cpu.core import SMTCore
 from ..errors import ConfigError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
@@ -27,7 +27,6 @@ from ..faults.watchdog import Watchdog
 from ..hwprefetch.stream_buffer import StreamBufferPrefetcher
 from ..logutil import get_logger
 from ..memory.hierarchy import MemoryHierarchy
-from ..memory.stats import MemoryStats
 from ..obs import Observer
 from ..trident.runtime import TridentRuntime
 from ..workloads.base import Workload
@@ -41,63 +40,29 @@ _log = get_logger("harness")
 _CKPT_RETRY_STEP = 512
 
 
-class _ReplaySample:
-    """Stand-in for :class:`~repro.obs.sampling.Sample` on cache replay.
-
-    ``Sample.to_dict`` emits *derived* ratios (ipc, miss_rate) alongside
-    raw window deltas; reconstructing a real ``Sample`` from those would
-    re-derive the ratios through float division and risk a last-ulp
-    mismatch.  The replay sample just holds the stored mapping, so a
-    replayed result's ``to_dict`` is byte-identical to the original's.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: Dict) -> None:
-        self._data = dict(data)
-
-    def __getattr__(self, name: str):
-        try:
-            return self._data[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def to_dict(self) -> Dict:
-        return dict(self._data)
-
-
-@dataclass
-class _ReplayCoreStats:
-    """The slice of :class:`~repro.cpu.core.CoreStats` a result carries."""
-
-    branch_mispredicts: int = 0
-    loads_executed: int = 0
-    misses_total: int = 0
-    miss_count_by_pc: Dict[int, int] = field(default_factory=dict)
-
-
-class _ReplayMemoryStats:
-    """The slice of MemoryStats a result needs: the Figure-6 breakdown."""
-
-    __slots__ = ("_breakdown",)
-
-    def __init__(self, breakdown: Dict[str, float]) -> None:
-        self._breakdown = dict(breakdown)
-
-    def breakdown(self) -> Dict[str, float]:
-        return dict(self._breakdown)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
-    """Everything measured in one run."""
+    """Everything measured in one run, as a plain value.
+
+    The fields are exactly what :meth:`to_dict` carries, copied out of
+    the live simulation once when the run completes: a result never
+    aliases the simulator's counters, so resuming the same
+    :class:`Simulation` to a larger budget cannot change an earlier
+    result.  :meth:`from_dict` rebuilds this same class, and a replayed
+    result compares equal (``==``) to the live one.
+    """
 
     workload: str
     policy: PrefetchPolicy
     instructions: int
     cycles: float
-    core: CoreStats
-    memory: MemoryStats
+    branch_mispredicts: int = 0
+    loads_executed: int = 0
+    misses_total: int = 0
+    #: Per-PC demand-miss counts (Figure 4 input).
+    miss_by_pc: Dict[int, int] = field(default_factory=dict)
+    #: Figure-6 load-outcome fractions (see :meth:`breakdown`).
+    load_breakdown: Dict[str, float] = field(default_factory=dict)
     #: Helper-thread activity as a fraction of total cycles (Figure 3).
     helper_active_fraction: float = 0.0
     helper_jobs: Dict[str, int] = field(default_factory=dict)
@@ -120,12 +85,12 @@ class SimulationResult:
     trace_load_pcs: frozenset = frozenset()
     targeted_load_pcs: frozenset = frozenset()
     #: Windowed time series (empty unless an observer with a sample
-    #: interval was attached): tuple of repro.obs.sampling.Sample.
+    #: interval was attached): tuple of ``Sample.to_dict()`` mappings.
     samples: tuple = ()
 
     def miss_profile(self) -> Dict[int, int]:
         """Per-PC demand-miss counts from this run (Figure 4 input)."""
-        return dict(self.core.miss_count_by_pc)
+        return dict(self.miss_by_pc)
 
     @property
     def ipc(self) -> float:
@@ -139,7 +104,7 @@ class SimulationResult:
 
     def breakdown(self) -> Dict[str, float]:
         """Figure-6 load-outcome fractions."""
-        return self.memory.breakdown()
+        return dict(self.load_breakdown)
 
     def to_dict(self) -> Dict:
         """JSON-serialisable summary (for tooling and the CLI)."""
@@ -161,17 +126,16 @@ class SimulationResult:
             "helper_jobs": dict(self.helper_jobs),
             "miss_trace_coverage": self.miss_trace_coverage,
             "miss_prefetch_coverage": self.miss_prefetch_coverage,
-            "branch_mispredicts": self.core.branch_mispredicts,
-            "loads_executed": self.core.loads_executed,
-            "misses_total": self.core.misses_total,
+            "branch_mispredicts": self.branch_mispredicts,
+            "loads_executed": self.loads_executed,
+            "misses_total": self.misses_total,
             "faults_applied": self.faults_applied,
             "fault_log": [dict(entry) for entry in self.fault_log],
-            "samples": [sample.to_dict() for sample in self.samples],
-            # Cache-replay payload (JSON object keys must be strings, so
-            # PCs are stringified; sorted for stable serialisation).
+            "samples": [dict(sample) for sample in self.samples],
+            # JSON object keys must be strings, so PCs are stringified;
+            # sorted for stable serialisation.
             "miss_by_pc": {
-                str(pc): self.core.miss_count_by_pc[pc]
-                for pc in sorted(self.core.miss_count_by_pc)
+                str(pc): self.miss_by_pc[pc] for pc in sorted(self.miss_by_pc)
             },
             "trace_load_pcs": sorted(self.trace_load_pcs),
             "targeted_load_pcs": sorted(self.targeted_load_pcs),
@@ -181,28 +145,23 @@ class SimulationResult:
     def from_dict(cls, data: Dict) -> "SimulationResult":
         """Rebuild a result from :meth:`to_dict` output (cache replay).
 
-        The replayed result supports everything the experiment harness
-        uses — ``ipc``, ``speedup_over``, ``breakdown``, ``miss_profile``,
-        the coverage fields, ``samples`` — and its own :meth:`to_dict`
-        round-trips byte-identically (the differential test suite holds
-        the engine to that).
+        The rebuilt result equals the original, and its own
+        :meth:`to_dict` round-trips byte-identically (the differential
+        test suite holds the engine to both).
         """
-        core = _ReplayCoreStats(
-            branch_mispredicts=data["branch_mispredicts"],
-            loads_executed=data["loads_executed"],
-            misses_total=data["misses_total"],
-            miss_count_by_pc={
-                int(pc): count
-                for pc, count in data.get("miss_by_pc", {}).items()
-            },
-        )
         return cls(
             workload=data["workload"],
             policy=PrefetchPolicy(data["policy"]),
             instructions=data["instructions"],
             cycles=data["cycles"],
-            core=core,
-            memory=_ReplayMemoryStats(data["breakdown"]),
+            branch_mispredicts=data["branch_mispredicts"],
+            loads_executed=data["loads_executed"],
+            misses_total=data["misses_total"],
+            miss_by_pc={
+                int(pc): count
+                for pc, count in data.get("miss_by_pc", {}).items()
+            },
+            load_breakdown=dict(data["breakdown"]),
             helper_active_fraction=data["helper_active_fraction"],
             helper_jobs=dict(data["helper_jobs"]),
             traces_formed=data["traces_formed"],
@@ -218,9 +177,7 @@ class SimulationResult:
             miss_prefetch_coverage=data["miss_prefetch_coverage"],
             trace_load_pcs=frozenset(data.get("trace_load_pcs", ())),
             targeted_load_pcs=frozenset(data.get("targeted_load_pcs", ())),
-            samples=tuple(
-                _ReplaySample(sample) for sample in data["samples"]
-            ),
+            samples=tuple(dict(sample) for sample in data["samples"]),
         )
 
 
@@ -582,55 +539,63 @@ class Simulation:
         if self.injector is not None:
             self.injector.finish(cycles)
         stats = self.core.stats
+        by_pc = stats.miss_count_by_pc
 
-        result = SimulationResult(
+        # Copy every reported number out of the live components once:
+        # the result is a value, so later resumes cannot reach it.
+        values: Dict = dict(
             workload=self.workload.name,
             policy=cfg.policy,
             instructions=committed - start_committed,
             cycles=cycles - start_cycles,
-            core=stats,
-            memory=self.hierarchy.stats,
+            branch_mispredicts=stats.branch_mispredicts,
+            loads_executed=stats.loads_executed,
+            misses_total=stats.misses_total,
+            miss_by_pc=dict(by_pc),
+            load_breakdown=self.hierarchy.stats.breakdown(),
         )
         if self.injector is not None:
-            result.faults_applied = self.injector.faults_applied
-            result.fault_log = tuple(self.injector.log)
+            values["faults_applied"] = self.injector.faults_applied
+            values["fault_log"] = tuple(
+                dict(entry) for entry in self.injector.log
+            )
         if stats.misses_total:
-            result.miss_trace_coverage = (
+            values["miss_trace_coverage"] = (
                 stats.misses_in_traces / stats.misses_total
             )
         runtime = self.runtime
         if runtime is not None:
-            result.helper_active_fraction = runtime.helper.active_fraction(
-                cycles
-            )
-            result.helper_jobs = dict(runtime.helper.jobs_by_kind)
-            result.traces_formed = runtime.traces_formed
-            result.traces_linked = runtime.traces_linked
-            result.dlt_events = runtime.dlt.events_fired
             opt = runtime.optimizer.stats
-            result.prefetches_inserted = opt.prefetches_inserted
-            result.pointer_prefetches_inserted = (
-                opt.pointer_prefetches_inserted
-            )
-            result.repairs_applied = opt.repairs_applied
-            result.loads_matured = opt.loads_matured
-            result.trace_load_pcs = frozenset(runtime.trace_load_pcs)
-            result.targeted_load_pcs = frozenset(
-                runtime.prefetch_targeted_pcs()
+            targeted = frozenset(runtime.prefetch_targeted_pcs())
+            values.update(
+                helper_active_fraction=runtime.helper.active_fraction(
+                    cycles
+                ),
+                helper_jobs=dict(runtime.helper.jobs_by_kind),
+                traces_formed=runtime.traces_formed,
+                traces_linked=runtime.traces_linked,
+                dlt_events=runtime.dlt.events_fired,
+                prefetches_inserted=opt.prefetches_inserted,
+                pointer_prefetches_inserted=opt.pointer_prefetches_inserted,
+                repairs_applied=opt.repairs_applied,
+                loads_matured=opt.loads_matured,
+                trace_load_pcs=frozenset(runtime.trace_load_pcs),
+                targeted_load_pcs=targeted,
             )
             if stats.misses_total:
                 covered = sum(
-                    count
-                    for pc, count in stats.miss_count_by_pc.items()
-                    if pc in result.targeted_load_pcs
+                    count for pc, count in by_pc.items() if pc in targeted
                 )
-                result.miss_prefetch_coverage = (
+                values["miss_prefetch_coverage"] = (
                     covered / stats.misses_total
                 )
         obs = self.observer
+        if obs is not None and obs.sampler is not None:
+            values["samples"] = tuple(
+                sample.to_dict() for sample in obs.sampler.samples
+            )
+        result = SimulationResult(**values)
         if obs is not None:
-            if obs.sampler is not None:
-                result.samples = tuple(obs.sampler.samples)
             # Consolidate the run's headline numbers into the registry so
             # --metrics-out is one self-contained document.
             obs.metrics.set_many(

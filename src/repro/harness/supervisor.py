@@ -473,7 +473,7 @@ class WorkerSupervisor:
                 strikes=attempts,
             )
             outcome = JobOutcome(
-                error=_error_record(job, poison, retried=True)
+                error=_error_record(job.workload, poison, retried=True)
             )
             outcome.error["strikes"] = attempts
             unit.outcomes[position] = outcome

@@ -199,8 +199,7 @@ _VALID_PHASES = frozenset({"i", "X", "M", "C", "B", "E"})
 def validate_chrome_trace(payload: Dict) -> List[str]:
     """Schema-check a Chrome trace object; returns a list of problems.
 
-    Used by the CI trace-smoke step: an empty list means the export is
-    structurally loadable.
+    An empty list means the export is structurally loadable.
     """
     problems: List[str] = []
     if not isinstance(payload, dict):

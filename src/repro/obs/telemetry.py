@@ -403,8 +403,8 @@ def spans_cover_journal(spans: Sequence[Dict], state) -> List[str]:
     a ``submit`` span; every terminal job a ``commit``; a finished job
     either ran (``run`` span) or replayed from cache (``cache-probe``
     with ``hit``); every journalled reclaim a ``reclaim`` span; every
-    quarantine a ``quarantine`` span.  Used by the CI telemetry-smoke
-    job and the chaos telemetry tests.
+    quarantine a ``quarantine`` span.  Used by the chaos telemetry
+    tests.
     """
     by_key: Dict[str, List[Dict]] = {}
     for span in spans:

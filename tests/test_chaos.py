@@ -16,6 +16,8 @@ from repro.harness import experiments
 from repro.harness.cache import ResultCache
 from repro.harness.engine import ExperimentEngine, make_job
 from repro.harness.journal import JobJournal, job_key
+from repro.obs.export import validate_chrome_trace
+from repro.obs.telemetry import TelemetryHub, spans_cover_journal
 
 BUDGET = 2_000
 WARMUP = 200
@@ -87,7 +89,7 @@ class TestPlan:
 
 
 class TestChaosEquivalence:
-    """CI's chaos-smoke contract, as a test: same tables, disturbed run."""
+    """The chaos contract in-process: same tables, disturbed run."""
 
     def _figure(self, engine):
         return experiments.fig5_policies(
@@ -98,8 +100,9 @@ class TestChaosEquivalence:
     def test_killed_workers_do_not_change_the_figure(self, tmp_path):
         clean = self._figure(_engine(tmp_path, "clean"))
         journal = JobJournal(tmp_path / "journal")
+        hub = TelemetryHub(out_dir=tmp_path / "journal")
         chaotic_engine = _engine(
-            tmp_path, "chaos", workers=2, journal=journal,
+            tmp_path, "chaos", workers=2, journal=journal, telemetry=hub,
             chaos=ChaosPlan(seed=7, kill_rate=0.2),
         )
         chaotic = self._figure(chaotic_engine)
@@ -111,6 +114,11 @@ class TestChaosEquivalence:
         # Every journalled job reached a terminal state.
         state = journal.recover()
         assert state.jobs and state.unfinished() == []
+        # Telemetry saw the kills: every journalled event, each reclaim
+        # strike included, has its span, and the fleet trace is valid.
+        assert spans_cover_journal(hub.spans(), state) == []
+        assert any(s["name"] == "reclaim" for s in hub.spans())
+        assert validate_chrome_trace(hub.chrome_trace()) == []
 
     def test_post_kill_work_is_recovered_not_recomputed(self, tmp_path):
         """A worker killed after computing but before reporting: the

@@ -1,10 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import pathlib
 import re
 
 import pytest
 
 from repro.__main__ import main
+
+SAMPLE_TRACE = (
+    pathlib.Path(__file__).resolve().parents[1]
+    / "examples" / "traces" / "sample_loop.champsim.gz"
+)
 
 
 class TestCLI:
@@ -45,6 +51,62 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Figure 2" in out
         assert "swim" in out
+
+    def test_no_fast_figure_matches_fast_without_sharing_cache(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--no-fast`` reaches the engine: over a builtin, a generated
+        scenario file and the sample ChampSim trace the reference
+        interpreter prints the fast table, and it re-simulates every
+        cell because ``fast`` is part of the result-cache key, while a
+        fast ``run`` of one cell replays the figure's cache entry."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out_dir = tmp_path / "generated"
+        assert main([
+            "scenarios", "generate", "--seed", "7", "--count", "1",
+            "--out-dir", str(out_dir),
+        ]) == 0
+        (spec,) = sorted(out_dir.glob("*.json"))
+        refs = ",".join([
+            "art", f"scenario:{spec}",
+            f"trace:{SAMPLE_TRACE}",
+        ])
+        args = [
+            "figure", "5", "--workloads", refs,
+            "--instructions", "2000", "--warmup", "200",
+        ]
+        capsys.readouterr()
+        assert main(args) == 0
+        fast = capsys.readouterr().out
+        # ``run --trace`` on the same cell replays the figure's entry.
+        assert main([
+            "run", "--trace", str(SAMPLE_TRACE),
+            "--instructions", "2000", "--warmup", "200",
+        ]) == 0
+        assert "result replayed from cache" in capsys.readouterr().err
+        assert main(args + ["--no-fast"]) == 0
+        slow = capsys.readouterr()
+        assert slow.out == fast
+        assert re.search(r"engine: run=[1-9][0-9]* cached=0", slow.err)
+
+    def test_checkpoint_dir_resumes_to_the_cold_table(
+        self, capsys, tmp_path
+    ):
+        """A short pass stores snapshots under ``--checkpoint-dir``; the
+        longer pass resumes them and prints the cold table (the result
+        cache is off, so a replay cannot pass for a resume)."""
+        args = ["figure", "7", "--workloads", "art", "--warmup", "200",
+                "--no-cache"]
+        ckpt = ["--checkpoint-dir", str(tmp_path / "ckpts")]
+        capsys.readouterr()
+        assert main(args + ["--instructions", "3000"]) == 0
+        cold = capsys.readouterr().out
+        assert main(args + ["--instructions", "1500"] + ckpt) == 0
+        capsys.readouterr()
+        assert main(args + ["--instructions", "3000"] + ckpt) == 0
+        resumed = capsys.readouterr()
+        assert resumed.out == cold
+        assert re.search(r"engine: .*resumed=[1-9]", resumed.err)
 
     def test_unknown_workload_rejected(self, capsys):
         # Free-form refs (scenario:/trace:) mean the parser cannot use

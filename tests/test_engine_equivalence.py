@@ -20,9 +20,10 @@ import json
 import pytest
 
 from repro.config import PrefetchPolicy
+from repro.faults.plan import FaultPlan
 from repro.harness.cache import ResultCache
 from repro.harness.engine import ExperimentEngine, make_job
-from repro.harness.runner import run_simulation
+from repro.harness.runner import SimulationResult, run_simulation
 
 WORKLOADS = ["art", "dot", "mcf"]
 POLICIES = [PrefetchPolicy.HW_ONLY, PrefetchPolicy.SELF_REPAIRING]
@@ -104,3 +105,27 @@ def test_replayed_result_supports_derived_accessors(tmp_path):
     )
     assert replayed.result.breakdown() == live.breakdown()
     assert replayed.result.policy is PrefetchPolicy.SELF_REPAIRING
+    assert type(replayed.result) is SimulationResult
+    assert replayed.result == live
+
+
+@pytest.mark.parametrize(
+    "carried, kwargs",
+    [
+        ("samples", dict(sample_interval=1_000)),
+        ("fault_log", dict(fault_plan=FaultPlan.latency_phase_shift(
+            at_instruction=WARMUP + BUDGET // 2,
+        ))),
+    ],
+    ids=["samples", "fault_log"],
+)
+def test_from_dict_rebuilds_an_equal_result(carried, kwargs):
+    """A result survives its own serialisation as an equal value."""
+    live = run_simulation(
+        "mcf", policy=PrefetchPolicy.SELF_REPAIRING,
+        max_instructions=BUDGET, warmup_instructions=WARMUP, **kwargs,
+    )
+    assert getattr(live, carried)
+    rebuilt = SimulationResult.from_dict(json.loads(_canon(live)))
+    assert rebuilt == live
+    assert _canon(rebuilt) == _canon(live)

@@ -60,8 +60,8 @@ class TestTraceLifecycle:
         )
         result = sim.run()
         assert result.traces_linked >= 1
-        assert result.core.trace_entries > 100
-        assert result.core.trace_committed > 0
+        assert sim.core.stats.trace_entries > 100
+        assert sim.core.stats.trace_committed > 0
 
     def test_prefetches_inserted_and_repaired(self):
         sim = Simulation(
@@ -98,7 +98,7 @@ class TestTraceLifecycle:
             ),
         )
         result = sim.run()
-        assert result.core.trace_entries == 0
+        assert sim.core.stats.trace_entries == 0
         assert result.traces_formed >= 1  # the optimizer still worked
 
     def test_trace_only_monitors_without_inserting(self):
@@ -112,7 +112,7 @@ class TestTraceLifecycle:
         result = sim.run()
         assert result.traces_linked >= 1
         assert result.prefetches_inserted == 0
-        assert result.core.misses_in_traces > 0
+        assert sim.core.stats.misses_in_traces > 0
 
     def test_functional_equivalence_across_policies(self):
         """Optimization must never change architectural results."""
@@ -189,7 +189,7 @@ class TestPointerPipeline:
         assert "pointer" in kinds
         assert result.pointer_prefetches_inserted >= 1
         # The inserted non-faulting dereference executes.
-        assert result.core.synthetic_executed > 0
+        assert sim.core.stats.synthetic_executed > 0
 
 
 class TestHelperInterference:

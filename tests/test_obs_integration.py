@@ -46,7 +46,7 @@ class TestZeroPerturbation:
         assert observed.ipc == plain.ipc
         assert observed.cycles == plain.cycles
         assert observed.instructions == plain.instructions
-        assert observed.memory.breakdown() == plain.memory.breakdown()
+        assert observed.breakdown() == plain.breakdown()
         assert obs.ring.total_emitted > 0  # it really was observing
 
     def test_disabled_overhead_within_tolerance(self):
@@ -109,8 +109,8 @@ class TestSampling:
         result, obs = _observed_run(sample_interval=5_000)
         assert len(result.samples) == BUDGET // 5_000
         # Windows tile the measured region exactly.
-        assert sum(s.instructions for s in result.samples) == BUDGET
-        assert result.samples[-1].end_instruction == WARMUP + BUDGET
+        assert sum(s["instructions"] for s in result.samples) == BUDGET
+        assert result.samples[-1]["end_instruction"] == WARMUP + BUDGET
         ipcs = obs.sampler.series("ipc")
         assert len(ipcs) == len(result.samples)
         assert all(ipc > 0 for ipc in ipcs)

@@ -52,7 +52,7 @@ class TestWarmupSemantics:
             max_instructions=10_000, warmup_instructions=30_000,
         )
         profile = result.miss_profile()
-        assert sum(profile.values()) == result.core.misses_total
+        assert sum(profile.values()) == result.misses_total
 
 
 class TestResultIntegrity:
@@ -84,3 +84,21 @@ class TestResultIntegrity:
         data = json.loads(json.dumps(result.to_dict()))
         assert data["instructions"] == 15_000
         assert data["policy"] == "self_repairing"
+
+    def test_resume_leaves_earlier_result_unchanged(self):
+        """A result is a value: resuming the simulation that produced it
+        to a larger budget must not reach back into it."""
+        budget = 5_000
+        sim = Simulation(
+            "mcf",
+            SimulationConfig(
+                policy=PrefetchPolicy.SELF_REPAIRING,
+                max_instructions=budget,
+            ),
+        )
+        result = sim.run()
+        before = result.to_dict()
+        later = sim.resume(3 * budget)
+        assert later.instructions == 3 * budget
+        assert later.to_dict()["loads_executed"] > before["loads_executed"]
+        assert result.to_dict() == before

@@ -65,12 +65,15 @@ class TestDot:
         assert result.pointer_prefetches_inserted >= 1
 
     def test_traces_exit_early_often(self):
-        result = run_simulation(
+        sim = Simulation(
             "dot",
-            policy=PrefetchPolicy.TRACE_ONLY,
-            max_instructions=120_000,
+            SimulationConfig(
+                policy=PrefetchPolicy.TRACE_ONLY,
+                max_instructions=120_000,
+            ),
         )
-        stats = result.core
+        sim.run()
+        stats = sim.core.stats
         assert stats.trace_entries > 0
         exit_ratio = stats.trace_exits_early / stats.trace_entries
         assert exit_ratio > 0.3  # the data-dependent branch bites

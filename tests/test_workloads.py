@@ -90,4 +90,4 @@ class TestEveryWorkload:
         )
         assert result.instructions == 3_000
         assert result.cycles > 0
-        assert result.core.loads_executed > 0
+        assert result.loads_executed > 0
