@@ -11,7 +11,8 @@ buffer has requested is a pending fill until it arrives, then sits in the
 L1 with its prefetched bit set.  A demand load that catches up with the
 stream therefore sees either a prefetched hit or a partial hit with the
 remaining latency — the same timing a hardware buffer hit would give,
-without a second storage pool.  DESIGN.md records this simplification.
+without a second storage pool.  DESIGN.md records this simplification, and
+§5c″ the per-load probe loop, which reads the hierarchy's state directly.
 """
 
 from __future__ import annotations
@@ -19,8 +20,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..config import StreamBufferConfig
+from ..errors import ConfigError
+from ..memory.stats import PrefetchSource
 from .markov import MarkovPredictor
-from .stride_predictor import StridePredictor
+from .stride_predictor import StridePredictor, _StrideEntry
+
+#: Probes one top-up may spend without issuing before it gives up.
+_PROBE_LIMIT = 8
 
 
 class _StreamBuffer:
@@ -50,6 +56,11 @@ class StreamBufferPrefetcher:
         hierarchy,
         line_size: int = 64,
     ) -> None:
+        if line_size != hierarchy.l1.line_size:
+            raise ConfigError(
+                f"stream buffers need the L1 line size "
+                f"({hierarchy.l1.line_size}), got {line_size}"
+            )
         self.config = config
         self.hierarchy = hierarchy
         self.line_size = line_size
@@ -66,14 +77,6 @@ class StreamBufferPrefetcher:
         # on the per-load hot path; identical values to the %-based form.
         self._pow2 = line_size > 0 and (line_size & (line_size - 1)) == 0
         self._block_mask = ~(line_size - 1)
-        # When our line geometry matches the hierarchy's (always true in
-        # the harness, which passes machine.line_size for both), the
-        # skip-search can hand the hierarchy its own block address and
-        # skip the per-probe realignment.
-        self._blocks_shared = (
-            getattr(hierarchy, "_line_size", None) == line_size
-            and hasattr(hierarchy, "hardware_prefetch_block")
-        )
         #: block address -> owning buffer, for O(1) demand probes.
         self._block_map: Dict[int, _StreamBuffer] = {}
         self._clock = 0
@@ -82,52 +85,50 @@ class StreamBufferPrefetcher:
         self.prefetches_issued = 0
 
     # ------------------------------------------------------------------
-    def _block_of(self, addr: int) -> int:
-        if self._pow2:
-            return addr & self._block_mask
-        return addr - (addr % self.line_size)
+    def _fill(self, buffer: _StreamBuffer, cycle: int) -> None:
+        """Top ``buffer`` up to its entry count, one fill per new block.
 
-    def _issue_next(self, buffer: _StreamBuffer, cycle: int) -> None:
-        """Request the next block of the stream.
-
-        Steps that land in the current block (tiny strides), in another
-        buffer, or on a line that is already resident or in flight
-        (e.g. a software prefetch got there first) are skipped — an entry
-        is only spent on a real outstanding fetch, so the buffer extends
-        its lead *beyond* whatever is already covered.
+        A step is skipped when its block is in this or another buffer
+        (tiny strides land in the current one), in flight, or resident
+        in the L1 (e.g. a software prefetch got there first), so entries
+        are only spent on real outstanding fetches.  The checks run
+        cheapest first.  ``_PROBE_LIMIT`` skips in a row, or a Markov
+        walk out of recorded transitions, stop the top-up short.
         """
-        blocks_shared = self._blocks_shared
-        for _ in range(8):  # bound the skip search
-            addr = buffer.next_addr
-            if addr is None:
-                return  # a Markov walk ran out of recorded transitions
-            if buffer.markov:
-                assert self.markov is not None
-                buffer.next_addr = self.markov.predict(self._block_of(addr))
-            else:
-                buffer.next_addr += buffer.stride
-            block = self._block_of(addr)
-            if block in buffer.blocks or block in self._block_map:
+        blocks = buffer.blocks
+        room = self.config.entries_per_buffer - len(blocks)
+        hierarchy = self.hierarchy
+        pending = hierarchy._pending
+        l1 = hierarchy.l1
+        l1_sets, l1_pow2 = l1._sets, l1._pow2
+        line_shift, set_mask = l1._line_shift, l1._set_mask
+        pow2, block_mask, line = self._pow2, self._block_mask, self.line_size
+        block_map = self._block_map
+        markov = self.markov if buffer.markov else None
+        stride = buffer.stride
+        addr = buffer.next_addr
+        probes = _PROBE_LIMIT
+        while room > 0 and probes and addr is not None:
+            block = addr & block_mask if pow2 else addr - addr % line
+            probe = addr
+            addr = addr + stride if markov is None else markov.predict(block)
+            if (
+                block in blocks or block in block_map or block in pending
+                or (block in l1_sets.get((block >> line_shift) & set_mask, ())
+                    if l1_pow2 else l1.contains(block))
+            ):
+                probes -= 1
                 continue
-            if blocks_shared:
-                issued = self.hierarchy.hardware_prefetch_block(
-                    addr, block, cycle
-                )
-            else:
-                issued = self.hierarchy.hardware_prefetch(addr, cycle)
-            if not issued:
-                continue  # resident or pending already: nothing to track
+            hierarchy.stats.hardware_prefetches_issued += 1
+            hierarchy.start_fill(
+                probe, cycle, True, PrefetchSource.STREAM_BUFFER
+            )
             self.prefetches_issued += 1
-            buffer.blocks.append(block)
-            self._block_map[block] = buffer
-            return
-
-    def _top_up(self, buffer: _StreamBuffer, cycle: int) -> None:
-        while len(buffer.blocks) < self.config.entries_per_buffer:
-            before = len(buffer.blocks)
-            self._issue_next(buffer, cycle)
-            if len(buffer.blocks) == before:
-                break
+            blocks.append(block)
+            block_map[block] = buffer
+            room -= 1
+            probes = _PROBE_LIMIT
+        buffer.next_addr = addr
 
     # ------------------------------------------------------------------
     def on_demand_load(
@@ -135,8 +136,28 @@ class StreamBufferPrefetcher:
     ) -> None:
         """Hook invoked by the hierarchy on every demand load."""
         self._clock += 1
-        self.predictor.update(pc, addr)
-        block = self._block_of(addr)
+        # StridePredictor.update, in place on the entry.
+        predictor = self.predictor
+        predictor.updates += 1
+        entry = predictor._table[pc % predictor.entries]
+        if entry.valid and entry.tag == pc:
+            stride = addr - entry.last_addr
+            if stride == entry.stride:
+                if entry.confidence < predictor.CONFIDENCE_MAX:
+                    entry.confidence += 1
+            elif entry.confidence > 0:
+                entry.confidence -= 1
+            else:
+                entry.stride = stride
+        else:
+            predictor.replacements += entry.valid
+            entry.tag, entry.stride, entry.confidence = pc, 0, 0
+            entry.valid = True
+        entry.last_addr = addr
+        block = (
+            addr & self._block_mask if self._pow2
+            else addr - addr % self.line_size
+        )
         buffer = self._block_map.get(block)
         if buffer is not None:
             # The demand stream caught up with this buffer — whether the
@@ -145,55 +166,65 @@ class StreamBufferPrefetcher:
             self.stream_hits += 1
             buffer.last_use = self._clock
             # Consume this block and everything older (skipped entries).
-            index = buffer.blocks.index(block)
-            for consumed in buffer.blocks[: index + 1]:
+            blocks = buffer.blocks
+            index = blocks.index(block) + 1
+            for consumed in blocks[:index]:
                 self._block_map.pop(consumed, None)
-            del buffer.blocks[: index + 1]
-            self._top_up(buffer, cycle)
+            del blocks[:index]
+            self._fill(buffer, cycle)
             return
         if l1_hit:
             return
         # Stride-filtered Markov training: only misses the stride
-        # predictor cannot explain feed the transition table.
-        if self.markov is not None and self.predictor.predict(pc) is None:
+        # predictor cannot explain (StridePredictor.predict's default
+        # confidence) feed the transition table.
+        if self.markov is not None and (
+            entry.confidence < 2 or entry.stride == 0
+        ):
             self.markov.train(block)
-        self._maybe_allocate(pc, addr, cycle)
+        self._maybe_allocate(pc, addr, block, entry, cycle)
 
-    def _maybe_allocate(self, pc: int, addr: int, cycle: int) -> None:
-        stride = self.predictor.predict(
-            pc, min_confidence=self.config.allocation_confidence
-        )
-        markov_next = None
-        if stride is None:
-            if self.markov is not None:
-                markov_next = self.markov.predict(self._block_of(addr))
+    def _maybe_allocate(
+        self, pc: int, addr: int, block: int, entry: _StrideEntry,
+        cycle: int,
+    ) -> None:
+        """``entry`` is the PC's just-trained stride-predictor entry."""
+        if (
+            entry.confidence >= self.config.allocation_confidence
+            and entry.stride != 0
+        ):
+            stride = entry.stride
+            new = _StreamBuffer(pc=pc, stride=stride, next_addr=addr + stride)
+        else:
+            markov_next = (
+                self.markov.predict(block) if self.markov is not None
+                else None
+            )
             if markov_next is None:
                 return
-        # Replace the LRU buffer (empty slots first).
-        slot = None
-        for i, buffer in enumerate(self._buffers):
-            if buffer is None:
-                slot = i
-                break
-        if slot is None:
-            slot, oldest = 0, self._buffers[0].last_use
-            for i, buffer in enumerate(self._buffers):
-                if buffer.last_use < oldest:
-                    slot, oldest = i, buffer.last_use
-            for stale in self._buffers[slot].blocks:
-                self._block_map.pop(stale, None)
-        if stride is not None:
-            new = _StreamBuffer(
-                pc=pc, stride=stride, next_addr=addr + stride
-            )
-        else:
             new = _StreamBuffer(
                 pc=pc, stride=0, next_addr=markov_next, markov=True
             )
+        # Replace the LRU buffer (empty slots first; ties go to the
+        # lowest index).
+        buffers = self._buffers
+        stale = buffers[0]
+        for buffer in buffers:
+            if buffer is None:
+                stale = None
+                break
+            if buffer.last_use < stale.last_use:
+                stale = buffer
+        if stale is None:
+            slot = buffers.index(None)
+        else:
+            slot = buffers.index(stale)
+            for block in stale.blocks:
+                self._block_map.pop(block, None)
         new.last_use = self._clock
-        self._buffers[slot] = new
+        buffers[slot] = new
         self.allocations += 1
-        self._top_up(new, cycle)
+        self._fill(new, cycle)
 
     # ------------------------------------------------------------------
     @property

@@ -76,7 +76,7 @@ class SetAssociativeCache:
     # capture time.  The packed form stores each set as (index, block
     # array, metadata bytes) — value-deterministic, LRU order preserved
     # by column position.  Empty buckets are dropped and sets are sorted
-    # by index: both are behaviourally invisible (``_set_for`` recreates
+    # by index: both are behaviourally invisible (``install`` recreates
     # buckets on demand, nothing iterates ``_sets`` in an order-sensitive
     # way) and make the bytes canonical across different histories.
     # ------------------------------------------------------------------
@@ -131,14 +131,6 @@ class SetAssociativeCache:
             return (block >> self._line_shift) & self._set_mask
         return (block // self.line_size) % self.num_sets
 
-    def _set_for(self, block: int) -> OrderedDict:
-        index = self._set_index(block)
-        bucket = self._sets.get(index)
-        if bucket is None:
-            bucket = OrderedDict()
-            self._sets[index] = bucket
-        return bucket
-
     # ------------------------------------------------------------------
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the line holding ``addr``, updating LRU and hit counters.
@@ -174,16 +166,6 @@ class SetAssociativeCache:
         bucket = self._sets.get(index)
         return bucket is not None and block in bucket
 
-    def contains_block(self, block: int) -> bool:
-        """`contains` for an already line-aligned block address (skips
-        the alignment step for callers that precomputed it)."""
-        if self._pow2:
-            index = (block >> self._line_shift) & self._set_mask
-        else:
-            index = (block // self.line_size) % self.num_sets
-        bucket = self._sets.get(index)
-        return bucket is not None and block in bucket
-
     def install(
         self,
         addr: int,
@@ -196,9 +178,16 @@ class SetAssociativeCache:
         alone (a prefetch of a resident line is useless and changes
         nothing).
         """
-        block = self.block_of(addr)
-        bucket = self._set_for(block)
-        if block in bucket:
+        if self._pow2:
+            block = addr & self._block_mask
+            index = (block >> self._line_shift) & self._set_mask
+        else:
+            block = addr - (addr % self.line_size)
+            index = (block // self.line_size) % self.num_sets
+        bucket = self._sets.get(index)
+        if bucket is None:
+            bucket = self._sets[index] = OrderedDict()
+        elif block in bucket:
             bucket.move_to_end(block)
             return None
         victim_block = None
@@ -225,7 +214,7 @@ class SetAssociativeCache:
     def invalidate(self, addr: int) -> bool:
         """Drop the block containing ``addr``; True if it was present."""
         block = self.block_of(addr)
-        bucket = self._set_for(block)
+        bucket = self._sets.get(self._set_index(block), {})
         return bucket.pop(block, None) is not None
 
     # ------------------------------------------------------------------

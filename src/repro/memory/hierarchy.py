@@ -16,7 +16,8 @@ displacement) that make over-long prefetch distances lose.
 
 The optional ``stream_prefetcher`` (see :mod:`repro.hwprefetch`) is invoked
 on every demand load; it may start further fills through
-:meth:`MemoryHierarchy.start_fill`.
+:meth:`MemoryHierarchy.start_fill`.  DESIGN.md §5c″ describes the per-load
+fast path.
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ from typing import Dict, List, Optional, Tuple
 from ..config import MachineConfig
 from .cache import SetAssociativeCache
 from .stats import LoadOutcome, MemoryStats, OutcomeKind, PrefetchSource
+
+
+#: Interned miss-side outcomes by their field values.  Module-level, not
+#: instance state: a snapshot pickles the hierarchy, and a table that
+#: grows with the run would change its bytes.
+_OUTCOMES: Dict[tuple, LoadOutcome] = {}
+
+
+def _outcome(*fields) -> LoadOutcome:
+    outcome = _OUTCOMES.get(fields)
+    if outcome is None:
+        if len(_OUTCOMES) >= 4096:  # fig5 cells intern a few hundred
+            _OUTCOMES.clear()
+        outcome = _OUTCOMES[fields] = LoadOutcome(*fields)
+    return outcome
 
 
 class _PendingFill:
@@ -244,36 +260,54 @@ class MemoryHierarchy:
     # Demand accesses.
     # ------------------------------------------------------------------
     def load(self, pc: int, addr: int, cycle: int) -> LoadOutcome:
-        """Perform a demand load; classify it and return its timing."""
+        """Perform a demand load; classify it and return its timing.
+
+        The L1 hit, the common case, is resolved inline (the lookup of
+        ``SetAssociativeCache.lookup``); misses go through
+        ``_classify_miss``.
+        """
         heap = self._pending_heap
         if heap and heap[0][0] <= cycle:
             self.drain(cycle)
-        outcome = self._classify_load(addr, cycle)
+        l1 = self.l1
+        if l1._pow2:
+            block = addr & l1._block_mask
+            bucket = l1._sets.get((block >> l1._line_shift) & l1._set_mask)
+            line = bucket.get(block) if bucket is not None else None
+            if line is None:
+                l1.misses += 1
+            else:
+                l1.hits += 1
+                bucket.move_to_end(block)
+        else:
+            line = l1.lookup(addr)
+        if line is not None:
+            l1_hit = True
+            if line.prefetched:
+                source = line.prefetch_source
+                line.prefetched = False
+                line.prefetch_source = None
+                outcome = self._outcome_hit_pf[source]
+            else:
+                outcome = self._outcome_hit
+        else:
+            outcome = self._classify_miss(addr, cycle)
+            kind = outcome.kind
+            l1_hit = (
+                kind is OutcomeKind.HIT or kind is OutcomeKind.HIT_PREFETCHED
+            )
         self.stats.record(outcome)
         if self.obs is not None:
             self._m_load_latency.observe(outcome.latency)
         prefetcher = self.stream_prefetcher
         if prefetcher is not None:
-            kind = outcome.kind
-            prefetcher.on_demand_load(
-                pc,
-                addr,
-                kind is OutcomeKind.HIT or kind is OutcomeKind.HIT_PREFETCHED,
-                cycle,
-            )
+            prefetcher.on_demand_load(pc, addr, l1_hit, cycle)
         return outcome
 
-    def _classify_load(self, addr: int, cycle: int) -> LoadOutcome:
+    def _classify_miss(self, addr: int, cycle: int) -> LoadOutcome:
+        """Classify a load whose L1 lookup missed: a merge with an
+        in-flight fill, or a full miss that starts one."""
         l1_latency = self.config.l1.latency
-        line = self.l1.lookup(addr)
-        if line is not None:
-            if line.prefetched:
-                source = line.prefetch_source
-                line.prefetched = False
-                line.prefetch_source = None
-                return self._outcome_hit_pf[source]
-            return self._outcome_hit
-
         block = self.block_of(addr)
         fill = self._pending.get(block)
         if fill is not None:
@@ -284,7 +318,7 @@ class MemoryHierarchy:
                     # The prefetch fully covered the latency: the data is
                     # effectively here — a prefetched hit, not a partial.
                     return self._outcome_hit_pf[fill.source]
-                return LoadOutcome(
+                return _outcome(
                     OutcomeKind.PARTIAL_HIT, remaining, "inflight",
                     fill.source,
                 )
@@ -292,7 +326,7 @@ class MemoryHierarchy:
             # (MSHR behaviour).  A near-complete fill is an effective hit.
             if remaining <= l1_latency:
                 return self._outcome_hit
-            return LoadOutcome(OutcomeKind.MISS, remaining, "inflight")
+            return _outcome(OutcomeKind.MISS, remaining, "inflight")
 
         # Full miss: find the supplying level and start the fill.
         if self.l2.lookup(addr) is not None:
@@ -304,10 +338,8 @@ class MemoryHierarchy:
         fill = self.start_fill(addr, cycle, prefetched=False)
         latency = max(latency, fill.ready - cycle)
         if self.l1.consume_displaced_tag(addr):
-            return LoadOutcome(
-                OutcomeKind.MISS_DUE_TO_PREFETCH, latency, level
-            )
-        return LoadOutcome(OutcomeKind.MISS, latency, level)
+            return _outcome(OutcomeKind.MISS_DUE_TO_PREFETCH, latency, level)
+        return _outcome(OutcomeKind.MISS, latency, level)
 
     def load_synthetic(self, addr: int, cycle: int) -> LoadOutcome:
         """A load inserted by the optimizer (the non-faulting dereference
@@ -320,7 +352,15 @@ class MemoryHierarchy:
         heap = self._pending_heap
         if heap and heap[0][0] <= cycle:
             self.drain(cycle)
-        return self._classify_load(addr, cycle)
+        line = self.l1.lookup(addr)
+        if line is None:
+            return self._classify_miss(addr, cycle)
+        if line.prefetched:
+            source = line.prefetch_source
+            line.prefetched = False
+            line.prefetch_source = None
+            return self._outcome_hit_pf[source]
+        return self._outcome_hit
 
     def store(self, addr: int, cycle: int) -> None:
         """Perform a demand store.
@@ -345,9 +385,18 @@ class MemoryHierarchy:
         heap = self._pending_heap
         if heap and heap[0][0] <= cycle:
             self.drain(cycle)
-        self.stats.software_prefetches_issued += 1
-        if self.l1.contains(addr) or self.block_of(addr) in self._pending:
-            self.stats.software_prefetches_useless += 1
+        stats = self.stats
+        stats.software_prefetches_issued += 1
+        l1 = self.l1
+        if l1._pow2:
+            block = addr & l1._block_mask
+            index = (block >> l1._line_shift) & l1._set_mask
+            resident = block in l1._sets.get(index, ())
+        else:
+            block = self.block_of(addr)
+            resident = l1.contains(addr)
+        if resident or block in self._pending:
+            stats.software_prefetches_useless += 1
             return False
         self.start_fill(
             addr, cycle, prefetched=True, source=PrefetchSource.SOFTWARE
@@ -355,17 +404,12 @@ class MemoryHierarchy:
         return True
 
     def hardware_prefetch(self, addr: int, cycle: int) -> bool:
-        """Issue a stream-buffer prefetch; True when a fill was started."""
-        return self.hardware_prefetch_block(addr, self.block_of(addr), cycle)
+        """Issue a hardware prefetch; True when a fill was started.
 
-    def hardware_prefetch_block(
-        self, addr: int, block: int, cycle: int
-    ) -> bool:
-        """`hardware_prefetch` for a caller that already aligned ``addr``
-        to ``block`` with this hierarchy's geometry (the stream buffers
-        walk block-aligned candidates, so the skip-search probes here
-        without redoing the alignment arithmetic per probe)."""
-        if block in self._pending or self.l1.contains_block(block):
+        The zoo engines' entry point.  The stream buffers run the same
+        checks inline in their probe loop (DESIGN.md §5c″).
+        """
+        if self.block_of(addr) in self._pending or self.l1.contains(addr):
             return False
         self.stats.hardware_prefetches_issued += 1
         self.start_fill(

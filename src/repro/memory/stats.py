@@ -26,6 +26,10 @@ class PrefetchSource(enum.Enum):
     SOFTWARE = "software"
     STREAM_BUFFER = "stream_buffer"
 
+    # Members are singletons, so identity hashing is equivalent to
+    # Enum's name hash and runs in C on every stats-dict update.
+    __hash__ = object.__hash__
+
 
 class OutcomeKind(enum.Enum):
     """Figure-6 classification of one demand load."""
@@ -35,6 +39,8 @@ class OutcomeKind(enum.Enum):
     PARTIAL_HIT = "partial_hit"
     MISS = "miss"
     MISS_DUE_TO_PREFETCH = "miss_due_to_prefetch"
+
+    __hash__ = object.__hash__  # see PrefetchSource
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import MachineConfig, StreamBufferConfig
+from repro.errors import ConfigError
 from repro.hwprefetch.stream_buffer import StreamBufferPrefetcher
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.stats import OutcomeKind
@@ -104,6 +105,14 @@ class TestStreamBufferCoupling:
         hier.software_prefetch(0x200000, 0)
         assert not hier.hardware_prefetch(0x200000, 1)
         assert hier.hardware_prefetch(0x200040, 1)
+
+    def test_line_size_must_match_the_l1(self):
+        machine = MachineConfig()
+        hier = MemoryHierarchy(machine)
+        with pytest.raises(ConfigError, match="L1 line size"):
+            StreamBufferPrefetcher(
+                machine.stream_buffers, hier, machine.line_size // 2
+            )
 
     def test_block_map_consistent_after_replacement(self):
         hier, sb = self.make()

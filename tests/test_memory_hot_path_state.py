@@ -1,0 +1,105 @@
+"""State guard for the memory hot path.
+
+A snapshot pickles the hierarchy, its caches and the stream buffers, so
+any attribute the per-load path adds to them lands in the snapshot bytes.
+The attribute lists below are explicit on purpose: a new cache, intern
+table or bound-method shortcut on one of these objects has to be added
+here by hand, so it shows in the diff.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+
+import pytest
+
+from repro.config import MachineConfig, PrefetchPolicy, SimulationConfig
+from repro.harness.runner import Simulation
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.stats import OutcomeKind, PrefetchSource
+
+HIERARCHY_ATTRS = [
+    "config", "l1", "l2", "l3", "stats", "stream_prefetcher", "_pending",
+    "_pending_heap", "_bus_free", "_line_size", "_pow2", "_block_mask",
+    "_outcome_hit", "_outcome_hit_pf", "obs", "_m_load_latency",
+    "_m_fills", "dram_latency_extra", "bus_occupancy_scale",
+    "lines_flushed",
+]
+CACHE_ATTRS = [
+    "config", "name", "num_sets", "line_size", "_pow2", "_block_mask",
+    "_line_shift", "_set_mask", "_sets", "_displaced_by_prefetch", "hits",
+    "misses", "evictions",
+]
+STREAM_BUFFER_ATTRS = [
+    "config", "hierarchy", "line_size", "predictor", "markov", "_buffers",
+    "_pow2", "_block_mask", "_block_map", "_clock", "allocations",
+    "stream_hits", "prefetches_issued",
+]
+PREDICTOR_ATTRS = ["entries", "_table", "updates", "replacements"]
+
+
+@pytest.fixture(scope="module")
+def ran_hierarchy():
+    """A hierarchy after a real run, so every hot path has executed."""
+    config = SimulationConfig(
+        policy=PrefetchPolicy.SELF_REPAIRING,
+        max_instructions=6_000,
+        warmup_instructions=2_000,
+    )
+    sim = Simulation("swim", config)
+    sim.run()
+    return sim.hierarchy
+
+
+def test_instance_attributes_are_exactly_the_listed_ones(ran_hierarchy):
+    hier = ran_hierarchy
+    sb = hier.stream_prefetcher
+    assert sb.prefetches_issued > 0 and hier.stats.total_loads > 0
+    assert list(vars(hier)) == HIERARCHY_ATTRS
+    for cache in (hier.l1, hier.l2, hier.l3):
+        assert list(vars(cache)) == CACHE_ATTRS
+    assert list(vars(sb)) == STREAM_BUFFER_ATTRS
+    assert list(vars(sb.predictor)) == PREDICTOR_ATTRS
+
+
+def test_restore_keeps_the_attribute_lists(ran_hierarchy):
+    copy = pickle.loads(pickle.dumps(ran_hierarchy))
+    assert list(vars(copy)) == HIERARCHY_ATTRS
+    assert list(vars(copy.l1)) == CACHE_ATTRS
+    assert list(vars(copy.stream_prefetcher)) == STREAM_BUFFER_ATTRS
+
+
+def test_growing_intern_table_leaves_snapshot_bytes_alone():
+    hier = MemoryHierarchy(MachineConfig())
+    hier.load(1, 0x10000, 0)
+    before = pickle.dumps(hier)
+    # Intern a few hundred new miss outcomes elsewhere in the process.
+    other = MemoryHierarchy(MachineConfig())
+    for i in range(300):
+        other.load(1, 0x400000 + i * 4096, i)
+    assert pickle.dumps(hier) == before
+
+
+def test_interned_outcomes_are_shared_and_frozen():
+    hier = MemoryHierarchy(MachineConfig())
+    first = hier.load(1, 0x100000, 0)
+    second = hier.load(1, 0x900000, 1_000)  # bus idle again: same latency
+    assert first.kind is OutcomeKind.MISS and first.level == "mem"
+    assert second is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.latency = 1
+
+    hier.software_prefetch(0x200000, 2_000)
+    partial = hier.load(1, 0x200000, 2_100)
+    hier.software_prefetch(0x300000, 3_000)
+    again = hier.load(1, 0x300000, 3_100)
+    assert partial.kind is OutcomeKind.PARTIAL_HIT
+    assert partial.prefetch_source is PrefetchSource.SOFTWARE
+    assert again is partial
+
+
+def test_enum_hash_is_identity():
+    for enum_cls in (OutcomeKind, PrefetchSource):
+        for member in enum_cls:
+            assert hash(member) == object.__hash__(member)
