@@ -74,39 +74,58 @@ class PrefetchPolicy(enum.Enum):
     SW_ONLY = "sw_only"
     TRACE_ONLY = "trace_only"
 
+    # The predicates test membership in module-level tuples: ``in``
+    # matches members by identity first, and reading a member through
+    # the class (``PrefetchPolicy.BASIC``) costs an Enum descriptor call
+    # per read on CPython 3.11 (DESIGN.md §5c‴).
     @property
     def software_prefetching(self) -> bool:
         """True when the Trident runtime (traces + DLT) is active."""
-        return self in (
-            PrefetchPolicy.BASIC,
-            PrefetchPolicy.WHOLE_OBJECT,
-            PrefetchPolicy.SELF_REPAIRING,
-            PrefetchPolicy.SW_ONLY,
-            PrefetchPolicy.TRACE_ONLY,
-        )
+        return self in SOFTWARE_PREFETCHING_POLICIES
 
     @property
     def inserts_prefetches(self) -> bool:
         """True when delinquent loads actually earn prefetch instructions."""
-        return (
-            self.software_prefetching
-            and self is not PrefetchPolicy.TRACE_ONLY
-        )
+        return self in _INSERTING_POLICIES
 
     @property
     def hardware_prefetching(self) -> bool:
         """True when the stream buffers are active."""
-        return self not in (PrefetchPolicy.NONE, PrefetchPolicy.SW_ONLY)
+        return self not in _NO_HARDWARE_POLICIES
 
     @property
     def adaptive_repair(self) -> bool:
         """True when prefetch distances are repaired at runtime."""
-        return self in (PrefetchPolicy.SELF_REPAIRING, PrefetchPolicy.SW_ONLY)
+        return self in _REPAIRING_POLICIES
 
     @property
     def same_object_grouping(self) -> bool:
         """True when same-object groups share prefetches (section 3.4.2)."""
-        return self is not PrefetchPolicy.BASIC and self.software_prefetching
+        return self in _GROUPING_POLICIES
+
+
+#: Policies that attach the Trident runtime (traces + DLT).
+SOFTWARE_PREFETCHING_POLICIES = (
+    PrefetchPolicy.BASIC,
+    PrefetchPolicy.WHOLE_OBJECT,
+    PrefetchPolicy.SELF_REPAIRING,
+    PrefetchPolicy.SW_ONLY,
+    PrefetchPolicy.TRACE_ONLY,
+)
+_INSERTING_POLICIES = (
+    PrefetchPolicy.BASIC,
+    PrefetchPolicy.WHOLE_OBJECT,
+    PrefetchPolicy.SELF_REPAIRING,
+    PrefetchPolicy.SW_ONLY,
+)
+_NO_HARDWARE_POLICIES = (PrefetchPolicy.NONE, PrefetchPolicy.SW_ONLY)
+_REPAIRING_POLICIES = (PrefetchPolicy.SELF_REPAIRING, PrefetchPolicy.SW_ONLY)
+_GROUPING_POLICIES = (
+    PrefetchPolicy.WHOLE_OBJECT,
+    PrefetchPolicy.SELF_REPAIRING,
+    PrefetchPolicy.SW_ONLY,
+    PrefetchPolicy.TRACE_ONLY,
+)
 
 
 @dataclass(frozen=True)

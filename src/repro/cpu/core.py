@@ -315,9 +315,13 @@ class SMTCore:
         """Pre-decoded dispatch loop; see :mod:`repro.cpu.fastpath`.
 
         Two variants.  With a runtime or injector attached, every step
-        is followed by the same ``runtime.tick``/``injector.tick``/
-        watchdog sequence as :meth:`_run_slow`, in the same order, so
-        helper-thread dispatch and fault timing are cycle-identical.
+        is followed by the ``runtime.tick``/``injector.tick``/watchdog
+        sequence of :meth:`_run_slow`, in the same order, except that
+        ``runtime.tick`` is called only when it can act: the helper's
+        job is due, or no job runs, an event is queued and the helper
+        is not stalled (DESIGN.md §5c‴).  The guard is ``tick``'s own
+        early-return test, read from live state on every step, so
+        helper-thread dispatch and fault timing stay cycle-identical.
         Without them, straight-line runs of pure-register instructions
         execute as a batch: no memory, branch, or hook can fire inside
         a batch, and the watchdog clamp below makes every
@@ -340,13 +344,22 @@ class SMTCore:
             steps_until_check = check_interval
 
         if runtime is not None or injector is not None:
+            if runtime is not None:
+                helper = runtime.helper
+                queued = runtime.events._queue
             while not ctx.halted and stats.committed < budget:
                 if self._trace is not None:
                     self._trace_handlers[self._trace_idx]()
                 else:
                     handlers[ctx.pc]()
                 if runtime is not None:
-                    runtime.tick(self._issue_clock)
+                    clock = self._issue_clock
+                    job = helper._job
+                    if job is not None:
+                        if clock >= job.ready:
+                            runtime.tick(clock)
+                    elif queued and clock >= helper.stalled_until:
+                        runtime.tick(clock)
                 if injector is not None:
                     injector.tick(self._issue_clock, stats.committed)
                 if watchdog is not None:

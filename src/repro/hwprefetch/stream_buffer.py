@@ -28,6 +28,10 @@ from .stride_predictor import StridePredictor, _StrideEntry
 #: Probes one top-up may spend without issuing before it gives up.
 _PROBE_LIMIT = 8
 
+#: Bound once: a class read of an Enum member is a descriptor call on
+#: CPython 3.11 (DESIGN.md §5c‴).
+_STREAM_BUFFER = PrefetchSource.STREAM_BUFFER
+
 
 class _StreamBuffer:
     """One stream: a stride (or Markov walk), pending blocks."""
@@ -120,9 +124,7 @@ class StreamBufferPrefetcher:
                 probes -= 1
                 continue
             hierarchy.stats.hardware_prefetches_issued += 1
-            hierarchy.start_fill(
-                probe, cycle, True, PrefetchSource.STREAM_BUFFER
-            )
+            hierarchy.start_fill(probe, cycle, True, _STREAM_BUFFER)
             self.prefetches_issued += 1
             blocks.append(block)
             block_map[block] = buffer

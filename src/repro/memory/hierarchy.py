@@ -29,6 +29,14 @@ from ..config import MachineConfig
 from .cache import SetAssociativeCache
 from .stats import LoadOutcome, MemoryStats, OutcomeKind, PrefetchSource
 
+#: Enum members the per-load paths read, bound once (DESIGN.md §5c‴).
+_HIT = OutcomeKind.HIT
+_HIT_PF = OutcomeKind.HIT_PREFETCHED
+_PARTIAL = OutcomeKind.PARTIAL_HIT
+_MISS = OutcomeKind.MISS
+_MISS_PF = OutcomeKind.MISS_DUE_TO_PREFETCH
+_SOFTWARE = PrefetchSource.SOFTWARE
+_STREAM_BUFFER = PrefetchSource.STREAM_BUFFER
 
 #: Interned miss-side outcomes by their field values.  Module-level, not
 #: instance state: a snapshot pickles the hierarchy, and a table that
@@ -293,9 +301,7 @@ class MemoryHierarchy:
         else:
             outcome = self._classify_miss(addr, cycle)
             kind = outcome.kind
-            l1_hit = (
-                kind is OutcomeKind.HIT or kind is OutcomeKind.HIT_PREFETCHED
-            )
+            l1_hit = kind is _HIT or kind is _HIT_PF
         self.stats.record(outcome)
         if self.obs is not None:
             self._m_load_latency.observe(outcome.latency)
@@ -318,15 +324,12 @@ class MemoryHierarchy:
                     # The prefetch fully covered the latency: the data is
                     # effectively here — a prefetched hit, not a partial.
                     return self._outcome_hit_pf[fill.source]
-                return _outcome(
-                    OutcomeKind.PARTIAL_HIT, remaining, "inflight",
-                    fill.source,
-                )
+                return _outcome(_PARTIAL, remaining, "inflight", fill.source)
             # Merge with an earlier access to the same in-flight line
             # (MSHR behaviour).  A near-complete fill is an effective hit.
             if remaining <= l1_latency:
                 return self._outcome_hit
-            return _outcome(OutcomeKind.MISS, remaining, "inflight")
+            return _outcome(_MISS, remaining, "inflight")
 
         # Full miss: find the supplying level and start the fill.
         if self.l2.lookup(addr) is not None:
@@ -338,8 +341,8 @@ class MemoryHierarchy:
         fill = self.start_fill(addr, cycle, prefetched=False)
         latency = max(latency, fill.ready - cycle)
         if self.l1.consume_displaced_tag(addr):
-            return _outcome(OutcomeKind.MISS_DUE_TO_PREFETCH, latency, level)
-        return _outcome(OutcomeKind.MISS, latency, level)
+            return _outcome(_MISS_PF, latency, level)
+        return _outcome(_MISS, latency, level)
 
     def load_synthetic(self, addr: int, cycle: int) -> LoadOutcome:
         """A load inserted by the optimizer (the non-faulting dereference
@@ -398,9 +401,7 @@ class MemoryHierarchy:
         if resident or block in self._pending:
             stats.software_prefetches_useless += 1
             return False
-        self.start_fill(
-            addr, cycle, prefetched=True, source=PrefetchSource.SOFTWARE
-        )
+        self.start_fill(addr, cycle, prefetched=True, source=_SOFTWARE)
         return True
 
     def hardware_prefetch(self, addr: int, cycle: int) -> bool:
@@ -412,7 +413,5 @@ class MemoryHierarchy:
         if self.block_of(addr) in self._pending or self.l1.contains(addr):
             return False
         self.stats.hardware_prefetches_issued += 1
-        self.start_fill(
-            addr, cycle, prefetched=True, source=PrefetchSource.STREAM_BUFFER
-        )
+        self.start_fill(addr, cycle, prefetched=True, source=_STREAM_BUFFER)
         return True

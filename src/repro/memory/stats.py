@@ -43,6 +43,14 @@ class OutcomeKind(enum.Enum):
     __hash__ = object.__hash__  # see PrefetchSource
 
 
+#: Members bound once: reading one through its class costs an Enum
+#: descriptor call on CPython 3.11, and these are read on every load
+#: (DESIGN.md §5c‴).
+_HIT = OutcomeKind.HIT
+_HIT_PF = OutcomeKind.HIT_PREFETCHED
+_PARTIAL = OutcomeKind.PARTIAL_HIT
+
+
 @dataclass(frozen=True)
 class LoadOutcome:
     """What happened to one demand load.
@@ -64,14 +72,14 @@ class LoadOutcome:
         """True when the access did not hit in the L1 (DLT's notion):
         every kind except the two L1-hit classifications."""
         kind = self.kind
-        return (
-            kind is not OutcomeKind.HIT
-            and kind is not OutcomeKind.HIT_PREFETCHED
-        )
+        return kind is not _HIT and kind is not _HIT_PF
 
     @property
     def miss_latency(self) -> int:
-        return self.latency if self.is_miss else 0
+        kind = self.kind
+        if kind is _HIT or kind is _HIT_PF:
+            return 0
+        return self.latency
 
 
 @dataclass
@@ -95,16 +103,15 @@ class MemoryStats:
     total_load_latency: int = 0
 
     def record(self, outcome: LoadOutcome) -> None:
-        self.outcomes[outcome.kind] += 1
+        kind = outcome.kind
+        self.outcomes[kind] += 1
         self.total_load_latency += outcome.latency
-        self.level_hits[outcome.level] = (
-            self.level_hits.get(outcome.level, 0) + 1
-        )
-        if outcome.prefetch_source is not None and outcome.kind in (
-            OutcomeKind.HIT_PREFETCHED,
-            OutcomeKind.PARTIAL_HIT,
-        ):
-            self.prefetched_hits_by_source[outcome.prefetch_source] += 1
+        level_hits = self.level_hits
+        level = outcome.level
+        level_hits[level] = level_hits.get(level, 0) + 1
+        source = outcome.prefetch_source
+        if source is not None and (kind is _HIT_PF or kind is _PARTIAL):
+            self.prefetched_hits_by_source[source] += 1
 
     @property
     def total_loads(self) -> int:

@@ -128,7 +128,14 @@ class DelinquentLoadTable:
         self, pc: int, addr: int, is_miss: bool, miss_latency: int
     ) -> bool:
         """Record one committed hot-trace load; True when an event fires."""
-        entry = self._lookup_or_allocate(pc)
+        # The hit path of _lookup_or_allocate, inline: it runs on every
+        # hot-trace load.
+        bucket = self._sets.get(pc % self._num_sets)
+        entry = bucket.get(pc) if bucket is not None else None
+        if entry is None:
+            entry = self._lookup_or_allocate(pc)
+        else:
+            bucket.move_to_end(pc)
         cfg = self.config
 
         # Stride tracking happens on every access (not just misses).

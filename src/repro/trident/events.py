@@ -76,11 +76,3 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def pending_delinquent_pcs(self) -> set:
-        """Load PCs with an event already waiting (for dedupe)."""
-        return {
-            e.load_pc
-            for e in self._queue
-            if isinstance(e, DelinquentLoadEvent)
-        }

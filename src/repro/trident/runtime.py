@@ -26,11 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Set
 
-from ..config import MachineConfig, PrefetchPolicy, TridentConfig
+from ..config import (
+    SOFTWARE_PREFETCHING_POLICIES,
+    MachineConfig,
+    PrefetchPolicy,
+    TridentConfig,
+)
 from ..core.optimizer import PrefetchOptimizer
 from ..isa.program import Program
 from ..logutil import get_logger
-from ..memory.stats import LoadOutcome
+from ..memory.stats import LoadOutcome, OutcomeKind
 from .branch_profiler import BranchProfiler
 from .code_cache import CodeCache
 from .dlt import DelinquentLoadTable
@@ -42,6 +47,12 @@ from .trace_formation import form_trace
 from .watch_table import WatchTable
 
 _log = get_logger("trident")
+
+#: The two L1-hit classifications, bound once: ``on_trace_load`` tests
+#: ``LoadOutcome.is_miss`` by identity without the property call or a
+#: per-load Enum member read (DESIGN.md §5c‴).
+_HIT = OutcomeKind.HIT
+_HIT_PF = OutcomeKind.HIT_PREFETCHED
 
 
 @dataclass
@@ -205,12 +216,14 @@ class TridentRuntime:
         outcome: LoadOutcome,
         cycle: float,
     ) -> None:
-        if not self.policy.software_prefetching:
+        if self.policy not in SOFTWARE_PREFETCHING_POLICIES:
             return
+        kind = outcome.kind
+        is_miss = kind is not _HIT and kind is not _HIT_PF
         if self.trident.phase_detection:
-            self._observe_phase(outcome.is_miss, cycle)
+            self._observe_phase(is_miss, cycle)
         fired = self.dlt.update(
-            load_pc, ea, outcome.is_miss, outcome.miss_latency
+            load_pc, ea, is_miss, outcome.latency if is_miss else 0
         )
         if not fired:
             return
@@ -351,9 +364,11 @@ class TridentRuntime:
                 )
 
     def tick(self, cycle: float) -> None:
-        # Called once per committed instruction: inline the idle case
-        # (no job in flight) instead of paying helper.tick/available
-        # calls to discover there is nothing to do.
+        # The reference loop calls this once per committed instruction;
+        # the fast loop only when a job is due or an event can dispatch
+        # (DESIGN.md §5c‴).  Inline the idle case (no job in flight)
+        # instead of paying helper.tick/available calls to discover
+        # there is nothing to do.
         helper = self.helper
         if helper._job is None:
             if len(self.events) and cycle >= helper.stalled_until:

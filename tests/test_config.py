@@ -84,35 +84,46 @@ class TestTable2:
             == (15, 1, 7)
 
 
-class TestPolicies:
-    def test_software_prefetching_flags(self):
-        assert not PrefetchPolicy.NONE.software_prefetching
-        assert not PrefetchPolicy.HW_ONLY.software_prefetching
-        assert PrefetchPolicy.BASIC.software_prefetching
-        assert PrefetchPolicy.SELF_REPAIRING.software_prefetching
-        assert PrefetchPolicy.TRACE_ONLY.software_prefetching
+#: Every policy's flags: (software_prefetching, hardware_prefetching,
+#: inserts_prefetches, adaptive_repair, same_object_grouping).
+POLICY_FLAGS = {
+    PrefetchPolicy.NONE: (False, False, False, False, False),
+    PrefetchPolicy.HW_ONLY: (False, True, False, False, False),
+    PrefetchPolicy.BASIC: (True, True, True, False, False),
+    PrefetchPolicy.WHOLE_OBJECT: (True, True, True, False, True),
+    PrefetchPolicy.SELF_REPAIRING: (True, True, True, True, True),
+    PrefetchPolicy.SW_ONLY: (True, False, True, True, True),
+    PrefetchPolicy.TRACE_ONLY: (True, True, False, False, True),
+}
 
-    def test_inserts_prefetches(self):
-        assert PrefetchPolicy.BASIC.inserts_prefetches
-        assert not PrefetchPolicy.TRACE_ONLY.inserts_prefetches
-        assert not PrefetchPolicy.HW_ONLY.inserts_prefetches
+
+def _column(index):
+    return {policy: row[index] for policy, row in POLICY_FLAGS.items()}
+
+
+class TestPolicies:
+    def test_flag_table_covers_every_policy(self):
+        assert set(POLICY_FLAGS) == set(PrefetchPolicy)
+
+    def test_software_prefetching_flags(self):
+        for policy, expected in _column(0).items():
+            assert policy.software_prefetching is expected, policy
 
     def test_hardware_prefetching_flags(self):
-        assert not PrefetchPolicy.NONE.hardware_prefetching
-        assert not PrefetchPolicy.SW_ONLY.hardware_prefetching
-        assert PrefetchPolicy.HW_ONLY.hardware_prefetching
-        assert PrefetchPolicy.SELF_REPAIRING.hardware_prefetching
+        for policy, expected in _column(1).items():
+            assert policy.hardware_prefetching is expected, policy
+
+    def test_inserts_prefetches(self):
+        for policy, expected in _column(2).items():
+            assert policy.inserts_prefetches is expected, policy
 
     def test_adaptive_repair_flags(self):
-        assert PrefetchPolicy.SELF_REPAIRING.adaptive_repair
-        assert PrefetchPolicy.SW_ONLY.adaptive_repair
-        assert not PrefetchPolicy.BASIC.adaptive_repair
-        assert not PrefetchPolicy.WHOLE_OBJECT.adaptive_repair
+        for policy, expected in _column(3).items():
+            assert policy.adaptive_repair is expected, policy
 
     def test_grouping_flags(self):
-        assert not PrefetchPolicy.BASIC.same_object_grouping
-        assert PrefetchPolicy.WHOLE_OBJECT.same_object_grouping
-        assert PrefetchPolicy.SELF_REPAIRING.same_object_grouping
+        for policy, expected in _column(4).items():
+            assert policy.same_object_grouping is expected, policy
 
     def test_simulation_config_replace(self):
         cfg = SimulationConfig()

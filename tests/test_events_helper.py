@@ -36,12 +36,6 @@ class TestEventQueue:
         assert q.stats.hot_trace_events == 1
         assert q.stats.delinquent_load_events == 1
 
-    def test_pending_delinquent_pcs(self):
-        q = EventQueue()
-        q.push(HotTraceEvent(head_pc=1, directions=(True,), cycle=0.0))
-        q.push(DelinquentLoadEvent(load_pc=7, trace_id=1, cycle=0.0))
-        assert q.pending_delinquent_pcs() == {7}
-
 
 class TestHelperThread:
     def test_schedule_and_apply(self):

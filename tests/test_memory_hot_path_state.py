@@ -1,10 +1,12 @@
-"""State guard for the memory hot path.
+"""State guard for the memory and Trident hot paths.
 
-A snapshot pickles the hierarchy, its caches and the stream buffers, so
-any attribute the per-load path adds to them lands in the snapshot bytes.
-The attribute lists below are explicit on purpose: a new cache, intern
-table or bound-method shortcut on one of these objects has to be added
-here by hand, so it shows in the diff.
+A snapshot pickles the hierarchy, its caches and the stream buffers, and
+the Trident runtime with its helper thread, event queue, DLT and watch
+table, so any attribute the per-load or per-instruction path adds to
+them lands in the snapshot bytes.  The attribute lists below are
+explicit on purpose: a new cache, intern table, bound-method shortcut or
+cached helper wake-up cycle on one of these objects has to be added here
+by hand, so it shows in the diff.
 """
 
 from __future__ import annotations
@@ -37,11 +39,30 @@ STREAM_BUFFER_ATTRS = [
     "stream_hits", "prefetches_issued",
 ]
 PREDICTOR_ATTRS = ["entries", "_table", "updates", "replacements"]
+RUNTIME_ATTRS = [
+    "program", "machine", "trident", "policy", "overhead_only", "profiler",
+    "watch_table", "dlt", "code_cache", "helper", "events", "trace_ids",
+    "optimizer", "traces_formed", "traces_linked", "traces_backed_out",
+    "drop_dlt_events_until", "dlt_events_dropped", "trace_load_pcs",
+    "_backout_counts", "phase_changes", "_phase_loads", "_phase_misses",
+    "_phase_prev_rate", "obs", "_m_dl_events",
+]
+HELPER_ATTRS = [
+    "startup_cycles", "registration", "_job", "busy_until",
+    "total_busy_cycles", "jobs_run", "jobs_by_kind", "stalled_until",
+    "stalls", "jobs_failed", "obs",
+]
+EVENT_QUEUE_ATTRS = ["capacity", "_queue", "stats"]
+DLT_ATTRS = [
+    "config", "latency_threshold", "_num_sets", "_sets", "evictions",
+    "events_fired", "windows_evaluated", "obs",
+]
+WATCH_TABLE_ATTRS = ["capacity", "_entries", "evictions"]
 
 
 @pytest.fixture(scope="module")
-def ran_hierarchy():
-    """A hierarchy after a real run, so every hot path has executed."""
+def ran_simulation():
+    """A simulation after a real run, so every hot path has executed."""
     config = SimulationConfig(
         policy=PrefetchPolicy.SELF_REPAIRING,
         max_instructions=6_000,
@@ -49,7 +70,22 @@ def ran_hierarchy():
     )
     sim = Simulation("swim", config)
     sim.run()
-    return sim.hierarchy
+    return sim
+
+
+@pytest.fixture(scope="module")
+def ran_hierarchy(ran_simulation):
+    return ran_simulation.hierarchy
+
+
+def _trident_parts(runtime):
+    return [
+        (runtime, RUNTIME_ATTRS),
+        (runtime.helper, HELPER_ATTRS),
+        (runtime.events, EVENT_QUEUE_ATTRS),
+        (runtime.dlt, DLT_ATTRS),
+        (runtime.watch_table, WATCH_TABLE_ATTRS),
+    ]
 
 
 def test_instance_attributes_are_exactly_the_listed_ones(ran_hierarchy):
@@ -68,6 +104,19 @@ def test_restore_keeps_the_attribute_lists(ran_hierarchy):
     assert list(vars(copy)) == HIERARCHY_ATTRS
     assert list(vars(copy.l1)) == CACHE_ATTRS
     assert list(vars(copy.stream_prefetcher)) == STREAM_BUFFER_ATTRS
+
+
+def test_trident_attributes_are_exactly_the_listed_ones(ran_simulation):
+    runtime = ran_simulation.runtime
+    assert runtime.helper.jobs_run > 0 and runtime.dlt.windows_evaluated > 0
+    for part, attrs in _trident_parts(runtime):
+        assert list(vars(part)) == attrs, type(part).__name__
+
+
+def test_trident_restore_keeps_the_attribute_lists(ran_simulation):
+    copy = pickle.loads(pickle.dumps(ran_simulation.runtime))
+    for part, attrs in _trident_parts(copy):
+        assert list(vars(part)) == attrs, type(part).__name__
 
 
 def test_growing_intern_table_leaves_snapshot_bytes_alone():

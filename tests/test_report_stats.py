@@ -18,6 +18,19 @@ from repro.memory.stats import (
 )
 
 
+#: ``LoadOutcome.is_miss`` for every kind: only the two L1-hit kinds
+#: are not misses.
+OUTCOME_IS_MISS = {
+    OutcomeKind.HIT: False,
+    OutcomeKind.HIT_PREFETCHED: False,
+    OutcomeKind.PARTIAL_HIT: True,
+    OutcomeKind.MISS: True,
+    OutcomeKind.MISS_DUE_TO_PREFETCH: True,
+}
+#: Kinds whose prefetch source ``MemoryStats.record`` attributes.
+PREFETCHED_KINDS = (OutcomeKind.HIT_PREFETCHED, OutcomeKind.PARTIAL_HIT)
+
+
 class TestFormatting:
     def test_percent(self):
         assert percent(0.231) == "23.1%"
@@ -73,33 +86,32 @@ class TestMemoryStats:
         assert sum(breakdown.values()) == pytest.approx(1.0)
 
     def test_prefetched_hits_attributed_by_source(self):
-        stats = MemoryStats()
-        stats.record(
-            LoadOutcome(
-                OutcomeKind.PARTIAL_HIT, 100, "inflight",
-                PrefetchSource.STREAM_BUFFER,
-            )
-        )
-        assert (
-            stats.prefetched_hits_by_source[PrefetchSource.STREAM_BUFFER]
-            == 1
-        )
-        assert stats.prefetched_hits_by_source[PrefetchSource.SOFTWARE] == 0
+        for kind in OutcomeKind:
+            for source in (None, *PrefetchSource):
+                stats = MemoryStats()
+                stats.record(LoadOutcome(kind, 90, "l2", source))
+                assert stats.outcomes[kind] == 1
+                assert stats.total_loads == 1
+                assert stats.total_load_latency == 90
+                assert stats.level_hits == {"l2": 1}
+                counted = source is not None and kind in PREFETCHED_KINDS
+                assert stats.prefetched_hits_by_source == {
+                    src: int(counted and src is source)
+                    for src in PrefetchSource
+                }, (kind, source)
 
     def test_outcome_miss_semantics(self):
-        assert LoadOutcome(OutcomeKind.PARTIAL_HIT, 90, "inflight").is_miss
-        assert LoadOutcome(OutcomeKind.MISS, 350, "mem").is_miss
-        assert LoadOutcome(
-            OutcomeKind.MISS_DUE_TO_PREFETCH, 350, "mem"
-        ).is_miss
-        assert not LoadOutcome(OutcomeKind.HIT, 3, "l1").is_miss
-        assert not LoadOutcome(OutcomeKind.HIT_PREFETCHED, 3, "l1").is_miss
+        assert set(OUTCOME_IS_MISS) == set(OutcomeKind)
+        for kind, is_miss in OUTCOME_IS_MISS.items():
+            for source in (None, *PrefetchSource):
+                outcome = LoadOutcome(kind, 90, "l2", source)
+                assert outcome.is_miss is is_miss, kind
 
     def test_miss_latency_zero_for_hits(self):
-        assert LoadOutcome(OutcomeKind.HIT, 3, "l1").miss_latency == 0
-        assert (
-            LoadOutcome(OutcomeKind.MISS, 350, "mem").miss_latency == 350
-        )
+        for kind, is_miss in OUTCOME_IS_MISS.items():
+            for source in (None, *PrefetchSource):
+                outcome = LoadOutcome(kind, 90, "l2", source)
+                assert outcome.miss_latency == (90 if is_miss else 0), kind
 
     def test_empty_breakdown(self):
         stats = MemoryStats()

@@ -17,6 +17,8 @@ from repro.trident.trace_formation import form_trace
 class _FakeHelper:
     def __init__(self, busy_until=0.0):
         self.busy_until = busy_until
+        self._job = None
+        self.stalled_until = 0.0
 
 
 class _FakeCodeCache:
@@ -24,13 +26,21 @@ class _FakeCodeCache:
         self._patch_map = patch_map
 
 
+class _FakeEvents:
+    def __init__(self):
+        self._queue = []
+
+
 class FakeRuntime:
     """Minimal runtime stub: serves one trace, records hook calls.
 
     Mirrors both runtime views the core consumes: the ``trace_at`` /
-    ``helper_busy_until`` methods used by the reference interpreter and
-    the ``code_cache._patch_map`` / ``helper.busy_until`` attributes the
-    decoded fast path binds at compile time.
+    ``helper_busy_until`` methods used by the reference interpreter, and
+    the attributes the decoded fast path reads directly: the
+    ``code_cache._patch_map`` and ``helper.busy_until`` it binds at
+    compile time, plus the ``helper._job``, ``helper.stalled_until`` and
+    ``events._queue`` its dispatch loop tests before calling ``tick``.
+    With no job and no queued event the fast loop never calls ``tick``.
     """
 
     overhead_only = False
@@ -38,6 +48,7 @@ class FakeRuntime:
     def __init__(self, trace, busy_until=0.0):
         self.trace = trace
         self.helper = _FakeHelper(busy_until)
+        self.events = _FakeEvents()
         self.code_cache = _FakeCodeCache(
             {trace.head_pc: trace} if trace is not None else {}
         )
@@ -188,3 +199,68 @@ class TestTraceExecution:
         )
         busy.run(8_000)
         assert busy.cycles > idle_core.cycles
+
+
+class _TickRecorder(FakeRuntime):
+    """Records every ``tick`` cycle; never changes helper state."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.ticks = []
+
+    def tick(self, cycle):
+        self.ticks.append(cycle)
+
+
+class _FakeJob:
+    def __init__(self, ready):
+        self.ready = ready
+
+
+def _tick_cycles(fast, job_ready=None, stalled_until=0.0, queued=0):
+    config = MachineConfig()
+    runtime = _TickRecorder()
+    if job_ready is not None:
+        runtime.helper._job = _FakeJob(job_ready)
+    runtime.helper.stalled_until = stalled_until
+    runtime.events._queue.extend([object()] * queued)
+    core = SMTCore(
+        loop_program(iters=300), DataMemory(), MemoryHierarchy(config),
+        config, runtime, fast=fast,
+    )
+    core.run(1_000)
+    return runtime.ticks
+
+
+class TestTickGuard:
+    """The fast loop calls ``tick`` exactly on the steps where it can act,
+    starting on the first step whose clock reaches the boundary; the
+    reference loop calls it on every step."""
+
+    @pytest.fixture(scope="class")
+    def every_step(self):
+        ticks = _tick_cycles(fast=False)
+        assert len(ticks) == 1_000
+        return ticks
+
+    def test_idle_helper_and_empty_queue_never_tick(self):
+        assert _tick_cycles(fast=True) == []
+        assert _tick_cycles(fast=True, stalled_until=1e9, queued=1) == []
+
+    def test_due_job_ticks_from_its_ready_cycle(self, every_step):
+        ready = every_step[400]  # a cycle the clock lands on exactly
+        expected = [c for c in every_step if c >= ready]
+        assert _tick_cycles(fast=True, job_ready=ready) == expected
+        # The reference loop still ticks every step.
+        assert _tick_cycles(fast=False, job_ready=ready) == every_step
+
+    def test_queued_event_ticks_once_the_stall_ends(self, every_step):
+        end = every_step[400]
+        expected = [c for c in every_step if c >= end]
+        ticks = _tick_cycles(fast=True, stalled_until=end, queued=1)
+        assert ticks == expected
+        # A running job gates the queue: only its due check ticks.
+        ticks = _tick_cycles(
+            fast=True, job_ready=1e9, stalled_until=end, queued=1
+        )
+        assert ticks == []
