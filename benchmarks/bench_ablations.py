@@ -4,103 +4,43 @@
   "almost identical" — the search converges regardless);
 * same-object grouping on/off;
 * the DLT's asymmetric stride-confidence penalty;
-* the repair budget multiplier (paper: 2x the maximal distance).
+* the repair budget multiplier (paper: 2x the maximal distance);
+* phase-aware mature clearing and the stream buffers' Markov second
+  level (extensions beyond the paper).
 """
 
-from conftest import sweep_workloads
-
-from repro.harness.experiments import bench_instructions, bench_warmup
-from repro.harness.sweep import (
-    ablation_confidence_penalty,
-    ablation_grouping,
-    ablation_initial_distance,
-    ablation_repair_budget,
-)
+from repro.harness.experiments import variant_rows
 
 
-def _budget():
-    return bench_instructions()
-
-
-def test_ablation_initial_distance(benchmark, report, engine):
-    result = benchmark.pedantic(
-        ablation_initial_distance,
-        args=(sweep_workloads(), _budget()),
-        kwargs={"warmup_instructions": bench_warmup(), "engine": engine},
-        iterations=1,
-        rounds=1,
-    )
-    report("ablation_initial_distance", result.render())
+def test_ablation_initial_distance(bench_figure):
+    result = bench_figure("ablation_initial_distance")
     # Paper: the two starting points end up "almost identical".  That
     # holds per-workload for most benchmarks; a stragglers' search can
     # park early at our run lengths, so assert the majority agree.
-    variants = list(result.variants.values())
-    names = set(variants[0]) & set(variants[1])
+    one, estimate = (cell.key for cell in result.cells[1:])
     close = sum(
-        1 for n in names if abs(variants[0][n] - variants[1][n]) < 0.05
+        1 for row in result.rows if abs(row[one] - row[estimate]) < 0.05
     )
-    assert close >= len(names) / 2
+    assert close >= len(result.rows) / 2
 
 
-def test_ablation_grouping(benchmark, report, engine):
-    result = benchmark.pedantic(
-        ablation_grouping,
-        args=(sweep_workloads(), _budget()),
-        kwargs={"warmup_instructions": bench_warmup(), "engine": engine},
-        iterations=1,
-        rounds=1,
-    )
-    report("ablation_grouping", result.render())
-    assert result.variants
+def test_ablation_grouping(bench_figure):
+    assert bench_figure("ablation_grouping").rows
 
 
-def test_ablation_confidence_penalty(benchmark, report, engine):
-    result = benchmark.pedantic(
-        ablation_confidence_penalty,
-        args=(sweep_workloads(), _budget()),
-        kwargs={"warmup_instructions": bench_warmup(), "engine": engine},
-        iterations=1,
-        rounds=1,
-    )
-    report("ablation_confidence_penalty", result.render())
-    assert "-7" in result.variants
+def test_ablation_confidence_penalty(bench_figure):
+    result = bench_figure("ablation_confidence_penalty")
+    assert "-7" in {row["variant"] for row in variant_rows(result)}
 
 
-def test_ablation_repair_budget(benchmark, report, engine):
-    result = benchmark.pedantic(
-        ablation_repair_budget,
-        args=(sweep_workloads(), _budget()),
-        kwargs={"warmup_instructions": bench_warmup(), "engine": engine},
-        iterations=1,
-        rounds=1,
-    )
-    report("ablation_repair_budget", result.render())
-    assert "2.0x" in result.variants
+def test_ablation_repair_budget(bench_figure):
+    result = bench_figure("ablation_repair_budget")
+    assert "2.0x" in {row["variant"] for row in variant_rows(result)}
 
 
-def test_ablation_phase_detection(benchmark, report, engine):
-    from repro.harness.sweep import ablation_phase_detection
-
-    result = benchmark.pedantic(
-        ablation_phase_detection,
-        args=(sweep_workloads(), _budget()),
-        kwargs={"warmup_instructions": bench_warmup(), "engine": engine},
-        iterations=1,
-        rounds=1,
-    )
-    report("ablation_phase_detection", result.render())
-    assert len(result.variants) == 2
+def test_ablation_phase_detection(bench_figure):
+    assert len(variant_rows(bench_figure("ablation_phase_detection"))) == 2
 
 
-def test_ablation_markov(benchmark, report, engine):
-    from repro.harness.sweep import ablation_markov
-
-    result = benchmark.pedantic(
-        ablation_markov,
-        args=(["dot", "mcf", "parser"], _budget()),
-        kwargs={"warmup_instructions": bench_warmup(), "engine": engine},
-        iterations=1,
-        rounds=1,
-    )
-    report("ablation_markov", result.render())
-    assert len(result.variants) == 2
+def test_ablation_markov(bench_figure):
+    assert len(variant_rows(bench_figure("ablation_markov"))) == 2

@@ -6,15 +6,10 @@ merely +0.8%, far below what the prefetcher earns with the same bits.
 
 from conftest import shapes_asserted
 
-from repro.harness.experiments import cache_equivalent_area
 
-
-def test_cache_equivalent_area(benchmark, report, engine):
-    result = benchmark.pedantic(
-        cache_equivalent_area, kwargs={"engine": engine}, iterations=1, rounds=1
-    )
-    report("cache_equiv", result.render())
+def test_cache_equivalent_area(bench_figure):
+    result = bench_figure("cache_equiv")
     if not shapes_asserted():
         return
     # A ~37% bigger L1 moves these working sets very little.
-    assert abs(result.mean_speedup - 1.0) < 0.10
+    assert abs(result.mean("speedup") - 1.0) < 0.10

@@ -14,11 +14,16 @@ import json
 import time
 
 from bench_output import write_bench_record
-from conftest import shapes_asserted, sweep_workloads
+from conftest import shapes_asserted
 
 from repro.config import PrefetchPolicy
 from repro.harness.engine import ExperimentEngine, make_job
-from repro.harness.experiments import bench_instructions, bench_warmup
+from repro.harness.experiments import (
+    SWEEP_WORKLOADS,
+    bench_instructions,
+    bench_warmup,
+    bench_workloads,
+)
 
 MAX_RESUMED_FRACTION = 0.50
 
@@ -52,7 +57,7 @@ def run_checkpoint_bench(tmp_root):
     """
     from repro.checkpoint import CheckpointStore
 
-    workloads = sweep_workloads()[:2]
+    workloads = bench_workloads(SWEEP_WORKLOADS)[:2]
     rows = []
     for workload in workloads:
         cold_engine = ExperimentEngine(cache=None, checkpoints=None)

@@ -6,23 +6,18 @@ gives +40%; the 8x8 configuration is the baseline for everything else.
 
 from conftest import shapes_asserted
 
-from repro.harness.experiments import fig2_hw_baseline
 
-
-def test_fig2_hw_baseline(benchmark, report, engine):
-    result = benchmark.pedantic(
-        fig2_hw_baseline, kwargs={"engine": engine}, iterations=1, rounds=1
-    )
-    report("fig2_hw_baseline", result.render())
+def test_fig2_hw_baseline(bench_figure):
+    result = bench_figure("fig2_hw_baseline")
     # Shape: both configurations help on average.  8x8 wins wherever the
     # paper's mechanism (stream count / depth) binds; a couple of
     # segment-broken pointer chases prefer the shallower 4x4 (less
     # overshoot), so the averages are only required to be comparable.
     if not shapes_asserted():
         return
-    assert result.mean_speedup_4x4 > 1.0
-    assert result.mean_speedup_8x8 > 1.0
-    assert result.mean_speedup_8x8 >= result.mean_speedup_4x4 * 0.90
+    assert result.mean("speedup_4x4") > 1.0
+    assert result.mean("speedup_8x8") > 1.0
+    assert result.mean("speedup_8x8") >= result.mean("speedup_4x4") * 0.90
     # The stream-count-limited workloads must prefer the bigger buffers.
     by_name = {r["workload"]: r for r in result.rows}
     for name in ("galgel", "mgrid", "wupwise"):

@@ -9,15 +9,10 @@ overhead-only slowdown stays small even so.
 
 from conftest import shapes_asserted
 
-from repro.harness.experiments import fig3_overhead
 
-
-def test_fig3_overhead(benchmark, report, engine):
-    result = benchmark.pedantic(
-        fig3_overhead, kwargs={"engine": engine}, iterations=1, rounds=1
-    )
-    report("fig3_overhead", result.render())
+def test_fig3_overhead(bench_figure):
+    result = bench_figure("fig3_overhead")
     # The optimize-but-don't-link configuration must be nearly free.
     if not shapes_asserted():
         return
-    assert result.mean_overhead < 0.05
+    assert result.mean("overhead") < 0.05

@@ -8,15 +8,11 @@ in-trace misses.
 
 from conftest import shapes_asserted
 
-from repro.harness.experiments import fig4_coverage
 
-
-def test_fig4_coverage(benchmark, report, engine):
-    result = benchmark.pedantic(
-        fig4_coverage, kwargs={"engine": engine}, iterations=1, rounds=1
-    )
-    report("fig4_coverage", result.render())
+def test_fig4_coverage(bench_figure):
+    result = bench_figure("fig4_coverage")
     if not shapes_asserted():
         return
-    assert 0.0 < result.mean_prefetch_coverage <= result.mean_trace_coverage
-    assert result.mean_trace_coverage > 0.5
+    traced = result.mean("trace_coverage")
+    assert 0.0 < result.mean("prefetch_coverage") <= traced
+    assert traced > 0.5

@@ -9,19 +9,14 @@ small distance is already optimal for their long loop bodies.
 
 from conftest import shapes_asserted
 
-from repro.harness.experiments import fig5_policies
 
-
-def test_fig5_policies(benchmark, report, engine):
-    result = benchmark.pedantic(
-        fig5_policies, kwargs={"engine": engine}, iterations=1, rounds=1
-    )
-    report("fig5_policies", result.render())
+def test_fig5_policies(bench_figure):
+    result = bench_figure("fig5_policies")
     if not shapes_asserted():
         return
-    basic = result.mean_speedup("basic")
-    whole = result.mean_speedup("whole_object")
-    repaired = result.mean_speedup("self_repairing")
+    basic = result.mean("basic")
+    whole = result.mean("whole_object")
+    repaired = result.mean("self_repairing")
     # The paper's ordering: basic <= whole-object <= self-repairing,
     # with self-repairing clearly ahead of basic.
     assert repaired > basic

@@ -7,18 +7,10 @@ rarer still.
 
 from conftest import shapes_asserted
 
-from repro.harness.experiments import fig6_breakdown
-from repro.harness.report import arithmetic_mean
 
-
-def test_fig6_breakdown(benchmark, report, engine):
-    result = benchmark.pedantic(
-        fig6_breakdown, kwargs={"engine": engine}, iterations=1, rounds=1
-    )
-    report("fig6_breakdown", result.render())
+def test_fig6_breakdown(bench_figure):
+    result = bench_figure("fig6_breakdown")
     if not shapes_asserted():
         return
-    mean_caused = arithmetic_mean(
-        [r["miss_due_to_prefetch"] for r in result.rows]
-    )
-    assert mean_caused < 0.05  # prefetch-caused misses are rare
+    # Prefetch-caused misses are rare.
+    assert result.mean("miss_due_to_prefetch") < 0.05

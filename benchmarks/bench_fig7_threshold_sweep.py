@@ -13,26 +13,26 @@ of the cold serial wall time.
 
 import time
 
-from conftest import shapes_asserted, sweep_workloads
+from conftest import shapes_asserted
 
 from repro.harness.cache import ResultCache
 from repro.harness.engine import ExperimentEngine
-from repro.harness.experiments import fig7_threshold_sweep
+from repro.harness.experiments import FIGURES, run_figure
 
 
 def test_fig7_threshold_sweep(benchmark, report, tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    kwargs = {"workloads": sweep_workloads()}
+    figure = FIGURES["fig7_threshold_sweep"]
 
     def cold_then_warm():
         cold_engine = ExperimentEngine(cache=cache)
         started = time.perf_counter()
-        cold = fig7_threshold_sweep(engine=cold_engine, **kwargs)
+        cold = run_figure(figure, engine=cold_engine)
         cold_s = time.perf_counter() - started
 
         warm_engine = ExperimentEngine(cache=cache)
         started = time.perf_counter()
-        warm = fig7_threshold_sweep(engine=warm_engine, **kwargs)
+        warm = run_figure(figure, engine=warm_engine)
         warm_s = time.perf_counter() - started
         return cold, warm, cold_s, warm_s, warm_engine.stats
 
@@ -44,10 +44,10 @@ def test_fig7_threshold_sweep(benchmark, report, tmp_path):
         f"\nfig7 cold serial: {cold_s:.2f}s, warm cache: {warm_s:.2f}s "
         f"({warm_s / cold_s:.1%} of cold)"
     )
-    assert len(cold.grid) == len(cold.windows) * len(cold.rates)
+    assert not cold.errors, cold.errors
     # The warm pass must be replay, not simulation ...
     assert warm_stats.jobs_run == 0, "warm pass re-simulated"
-    assert warm.grid == cold.grid
+    assert warm.rows == cold.rows
     if not shapes_asserted():
         return
     # ... and at realistic budgets replay must win by at least 4x.

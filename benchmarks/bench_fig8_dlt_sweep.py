@@ -5,22 +5,16 @@ concurrently-hot load sites (dot, parser) want the bigger tables; 1024
 entries suffices.
 """
 
-from conftest import shapes_asserted, sweep_workloads
+from conftest import shapes_asserted
 
-from repro.harness.experiments import fig8_dlt_sweep
+from repro.harness.experiments import SIZES
 
 
-def test_fig8_dlt_sweep(benchmark, report, engine):
-    result = benchmark.pedantic(
-        fig8_dlt_sweep,
-        kwargs={"workloads": sweep_workloads(), "engine": engine},
-        iterations=1,
-        rounds=1,
-    )
-    report("fig8_dlt_sweep", result.render())
+def test_fig8_dlt_sweep(bench_figure):
+    result = bench_figure("fig8_dlt_sweep")
     if not shapes_asserted():
         return
-    biggest = result.by_size[max(result.sizes)]["mean"]
-    smallest = result.by_size[min(result.sizes)]["mean"]
+    biggest = result.mean(max(SIZES))
+    smallest = result.mean(min(SIZES))
     # Bigger tables never hurt meaningfully.
     assert biggest >= smallest * 0.95

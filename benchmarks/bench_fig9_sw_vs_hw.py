@@ -8,17 +8,12 @@ distances, or too little trace coverage); the combination wins overall.
 
 from conftest import shapes_asserted
 
-from repro.harness.experiments import fig9_sw_vs_hw
 
-
-def test_fig9_sw_vs_hw(benchmark, report, engine):
-    result = benchmark.pedantic(
-        fig9_sw_vs_hw, kwargs={"engine": engine}, iterations=1, rounds=1
-    )
-    report("fig9_sw_vs_hw", result.render())
+def test_fig9_sw_vs_hw(bench_figure):
+    result = bench_figure("fig9_sw_vs_hw")
     if not shapes_asserted():
         return
-    hw = result.mean_speedup("hw_only")
-    combined = result.mean_speedup("combined")
+    hw = result.mean("hw_only")
+    combined = result.mean("combined")
     assert hw > 1.0
     assert combined >= hw  # SW on top of HW never loses on average

@@ -9,31 +9,25 @@ records (phase detection) and climbs back — repairs resume after the
 fault and IPC recovers from the post-fault dip.
 """
 
-from conftest import shapes_asserted, sweep_workloads
-
-from repro.harness.experiments import resilience
+from conftest import shapes_asserted
 
 
-def test_resilience(benchmark, report, engine):
-    result = benchmark.pedantic(
-        resilience,
-        kwargs={"workloads": sweep_workloads(), "engine": engine},
-        iterations=1,
-        rounds=1,
-    )
-    report("resilience", result.render())
+def test_resilience(bench_figure):
+    result = bench_figure("resilience")
     assert not result.errors, result.errors
     if not shapes_asserted():
         return
-    basic_repairs = sum(r["basic"]["repairs_after"] for r in result.rows)
-    sr_repairs = sum(
-        r["self_repairing"]["repairs_after"] for r in result.rows
-    )
+    repairs = {
+        policy: sum(
+            r["repairs_after"] for r in result.rows if r["policy"] == policy
+        )
+        for policy in ("basic", "self-repairing")
+    }
     # The basic policy froze its distances before the fault; only the
     # self-repairing policy fixes them afterwards and recovers more IPC.
-    assert basic_repairs == 0
-    assert sr_repairs > 0
+    assert repairs["basic"] == 0
+    assert repairs["self-repairing"] > 0
     assert (
-        result.mean_recovery("self_repairing")
-        > result.mean_recovery("basic")
+        result.mean("recovery", policy="self-repairing")
+        > result.mean("recovery", policy="basic")
     )

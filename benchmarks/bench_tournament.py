@@ -14,12 +14,17 @@ import time
 from bench_output import write_bench_record
 from conftest import shapes_asserted
 
-from repro.harness.experiments import tournament
+from repro.harness.experiments import (
+    FIGURES,
+    ranking,
+    run_figure,
+    tournament_contenders,
+)
 
 
 def run_tournament(engine):
     start = time.perf_counter()
-    result = tournament(engine=engine)
+    result = run_figure(FIGURES["tournament"], engine=engine)
     return result, time.perf_counter() - start
 
 
@@ -28,22 +33,28 @@ def test_tournament(benchmark, report, engine):
         run_tournament, kwargs={"engine": engine}, iterations=1, rounds=1
     )
     report("tournament", result.render())
-    ranking = result.ranking
+    ranked = ranking(result)
     write_bench_record(
         "tournament",
         wall_times_s={"tournament": wall_s},
-        speedup=ranking[0]["mean_speedup"] if ranking else None,
-        extra=result.to_dict(),
+        speedup=ranked[0]["mean_speedup"] if ranked else None,
+        extra={
+            "contenders": tournament_contenders(),
+            "workloads": [r["workload"] for r in result.rows],
+            "ranking": ranked,
+            "rows": result.rows,
+            "errors": result.errors,
+        },
     )
     # Structure holds at any budget: full coverage, complete ranking.
-    contenders = set(result.contenders)
+    contenders = set(tournament_contenders())
     assert result.rows, "tournament produced no surviving workloads"
     for row in result.rows:
         assert set(row["speedup"]) == contenders
-    assert {entry["policy"] for entry in ranking} == contenders
+    assert {entry["policy"] for entry in ranked} == contenders
     if not shapes_asserted():
         return  # tiny smoke budgets: ratios are all noise
-    by_policy = {e["policy"]: e["mean_speedup"] for e in ranking}
+    by_policy = {e["policy"]: e["mean_speedup"] for e in ranked}
     zoo = {
         name: spd for name, spd in by_policy.items()
         if name not in ("hw_only", "basic", "self_repairing")

@@ -1,9 +1,9 @@
 """Shared bench plumbing.
 
 Every bench regenerates one paper table/figure: it runs the corresponding
-experiment from :mod:`repro.harness.experiments`, prints the paper-style
-table (through capture-disabled output so it survives pytest's capture),
-and writes it to ``benchmarks/results/<name>.txt``.
+``FIGURES`` spec from :mod:`repro.harness.experiments`, prints the
+paper-style table (through capture-disabled output so it survives
+pytest's capture), and writes it to ``benchmarks/results/<name>.txt``.
 
 Budgets honour the environment knobs::
 
@@ -12,8 +12,9 @@ Budgets honour the environment knobs::
     REPRO_BENCH_WORKLOADS      comma-separated subset of benchmarks
     REPRO_BENCH_JOBS           experiment-engine worker processes (default 1)
 
-The sensitivity sweeps (Figures 7/8) and ablations default to a
-representative workload subset; export REPRO_BENCH_WORKLOADS to widen.
+The sensitivity sweeps (Figures 7/8), the ablations and the resilience
+study default to their spec's representative workload subset; export
+REPRO_BENCH_WORKLOADS to widen.
 
 Every bench routes its simulations through one shared
 :class:`repro.harness.engine.ExperimentEngine` (the ``engine`` fixture),
@@ -29,16 +30,6 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Subset used by the many-configuration sweeps to keep bench time sane.
-SWEEP_WORKLOADS = ["art", "dot", "mcf", "parser", "swim"]
-
-
-def sweep_workloads():
-    raw = os.environ.get("REPRO_BENCH_WORKLOADS")
-    if raw:
-        return [n.strip() for n in raw.split(",") if n.strip()]
-    return list(SWEEP_WORKLOADS)
 
 
 def bench_jobs() -> int:
@@ -81,3 +72,20 @@ def report(capfd):
             print(text)
 
     return emit
+
+
+@pytest.fixture
+def bench_figure(benchmark, report, engine):
+    """``bench_figure(name)``: run one ``FIGURES`` entry once under the
+    benchmark timer on the shared engine, report its table, return it."""
+    from repro.harness.experiments import FIGURES, run_figure
+
+    def run(name: str):
+        result = benchmark.pedantic(
+            run_figure, args=(FIGURES[name],), kwargs={"engine": engine},
+            iterations=1, rounds=1,
+        )
+        report(name, result.render())
+        return result
+
+    return run

@@ -34,8 +34,13 @@ from typing import List, Optional
 
 from .errors import ReproError
 from .faults.plan import FaultPlan
-from .harness import experiments
 from .harness.engine import ExperimentEngine, make_job
+from .harness.experiments import (
+    FIGURES,
+    RESILIENCE,
+    resilience_traced,
+    run_figure,
+)
 from .harness.report import render_mapping, render_timeline
 from .harness.runner import run_simulation
 from .hwprefetch.zoo import all_policy_names
@@ -43,19 +48,9 @@ from .logutil import configure_logging
 from .obs import Observer, write_chrome_trace, write_jsonl, write_metrics
 from .workloads.registry import BENCHMARK_NAMES, load_workload
 
-_FIGURES = {
-    "2": experiments.fig2_hw_baseline,
-    "3": experiments.fig3_overhead,
-    "4": experiments.fig4_coverage,
-    "5": experiments.fig5_policies,
-    "6": experiments.fig6_breakdown,
-    "7": experiments.fig7_threshold_sweep,
-    "8": experiments.fig8_dlt_sweep,
-    "9": experiments.fig9_sw_vs_hw,
-    "cache": experiments.cache_equivalent_area,
-    "resilience": experiments.resilience,
-    "scaling": experiments.scaling_curve,
-    "tournament": experiments.tournament,
+#: The ``figure`` subcommand's names: each figure's alias, else its name.
+_FIGURE_NAMES = {
+    figure.alias or figure.name: figure for figure in FIGURES.values()
 }
 
 
@@ -338,8 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_args(run)
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure")
-    fig.add_argument("figure", choices=sorted(_FIGURES))
+    fig = sub.add_parser(
+        "figure", help="regenerate a paper figure, ablation or study"
+    )
+    fig.add_argument("figure", choices=sorted(_FIGURE_NAMES))
     fig.add_argument(
         "--workloads",
         default=None,
@@ -715,27 +712,26 @@ def _export_observer(
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    figure = _FIGURE_NAMES[args.figure]
     workloads = None
     if args.workloads:
         workloads = [w.strip() for w in args.workloads.split(",")]
-    kwargs = {"workloads": workloads, "fast": args.fast}
-    if args.instructions is not None:
-        kwargs["max_instructions"] = args.instructions
-    if args.warmup is not None:
-        kwargs["warmup"] = args.warmup
-    fleet_trace = None
-    if args.trace_out is not None:
-        if args.figure == "resilience":
-            # The resilience figure runs one instrumented simulation
-            # in-process and exports its cycle-stamped event stream.
-            kwargs["trace_out"] = args.trace_out
-        else:
-            # Every other figure is a fleet of jobs: export the
-            # stitched cross-process span trace instead.
-            fleet_trace = args.trace_out
+    # The resilience figure exports its instrumented runs' event streams;
+    # every other figure is a fleet of jobs and exports the stitched
+    # cross-process span trace instead.
+    traced = args.trace_out is not None and figure is RESILIENCE
+    fleet_trace = None if traced else args.trace_out
     engine = _engine_from_args(args, want_telemetry=fleet_trace is not None)
-    kwargs["engine"] = engine
-    result = _FIGURES[args.figure](**kwargs)
+    if traced:
+        result = resilience_traced(
+            workloads, args.instructions, args.warmup, args.trace_out,
+            args.fast,
+        )
+    else:
+        result = run_figure(
+            figure, workloads, args.instructions, args.warmup, engine,
+            args.fast,
+        )
     print(result.render())
     if fleet_trace is not None and engine.telemetry is not None:
         count = engine.telemetry.write_trace(

@@ -1,5 +1,5 @@
-"""Experiment harness: simulation driver, paper-figure experiments,
-reporting, and ablation sweeps."""
+"""Experiment harness: simulation driver, the figure specs (paper
+figures, ablations and studies), reporting, and claim grading."""
 
 from .cache import ResultCache, code_version, stable_hash
 from .charts import bar_chart, grouped_bar_chart
@@ -15,17 +15,14 @@ from .engine import (
 from .journal import JobJournal, JournalState, job_key
 from .supervisor import RetryPolicy, WorkerSupervisor
 from .experiments import (
+    FIGURES,
+    Cell,
+    Column,
+    Figure,
+    FigureResult,
     bench_instructions,
     bench_workloads,
-    cache_equivalent_area,
-    fig2_hw_baseline,
-    fig3_overhead,
-    fig4_coverage,
-    fig5_policies,
-    fig6_breakdown,
-    fig7_threshold_sweep,
-    fig8_dlt_sweep,
-    fig9_sw_vs_hw,
+    run_figure,
 )
 from .report import (
     arithmetic_mean,
@@ -36,18 +33,10 @@ from .report import (
     speedup_percent,
 )
 from .runner import Simulation, SimulationResult, run_simulation
-from .sweep import (
-    AblationResult,
-    ablation_confidence_penalty,
-    ablation_markov,
-    ablation_phase_detection,
-    ablation_grouping,
-    ablation_initial_distance,
-    ablation_repair_budget,
-)
 
 __all__ = [
-    "AblationResult",
+    "Cell",
+    "Column",
     "EngineStats",
     "ExperimentEngine",
     "JobJournal",
@@ -64,33 +53,22 @@ __all__ = [
     "make_job",
     "run_workload_groups",
     "stable_hash",
-    "ablation_confidence_penalty",
-    "ablation_grouping",
-    "ablation_initial_distance",
-    "ablation_markov",
-    "ablation_phase_detection",
-    "ablation_repair_budget",
     "arithmetic_mean",
     "CLAIMS",
     "bar_chart",
     "grouped_bar_chart",
     "bench_instructions",
     "bench_workloads",
-    "cache_equivalent_area",
     "evaluate_claims",
-    "fig2_hw_baseline",
-    "fig3_overhead",
-    "fig4_coverage",
-    "fig5_policies",
-    "fig6_breakdown",
-    "fig7_threshold_sweep",
-    "fig8_dlt_sweep",
-    "fig9_sw_vs_hw",
+    "FIGURES",
+    "Figure",
+    "FigureResult",
     "geometric_mean",
     "percent",
     "render_mapping",
     "render_verdicts",
     "render_table",
+    "run_figure",
     "run_simulation",
     "speedup_percent",
 ]

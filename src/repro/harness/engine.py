@@ -326,6 +326,7 @@ def _execute_job(
     resume_ok: bool = True,
     recorder: Optional[SpanRecorder] = None,
     context: Optional[TraceContext] = None,
+    observer: Optional[Observer] = None,
 ) -> Tuple[SimulationResult, float, Optional[int]]:
     """Run one job to completion (no isolation).
 
@@ -340,11 +341,12 @@ def _execute_job(
     supervised workers, which call it through this module's global so a
     patch made before the fork reaches them; the baseline-reuse
     regression test counts invocations through ``runner.Simulation``.
+    A caller that exports the run's event stream passes its own
+    ``observer``.
     """
     from ..checkpoint import CheckpointStore, restore as restore_snapshot
 
-    observer = None
-    if job.sample_interval is not None:
+    if observer is None and job.sample_interval is not None:
         observer = Observer(sample_interval=job.sample_interval)
         if recorder is not None:
             # Live windowed IPC/miss-rate: each closed sample window is

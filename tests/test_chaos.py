@@ -92,7 +92,8 @@ class TestChaosEquivalence:
     """The chaos contract in-process: same tables, disturbed run."""
 
     def _figure(self, engine):
-        return experiments.fig5_policies(
+        return experiments.run_figure(
+            experiments.FIGURES["fig5_policies"],
             workloads=WORKLOADS, max_instructions=BUDGET,
             warmup=WARMUP, engine=engine,
         ).render()
@@ -160,7 +161,8 @@ class TestChaosEquivalence:
         hang is killed and reclaimed instead of merely waited out."""
 
         def figure(engine):
-            return experiments.fig6_breakdown(
+            return experiments.run_figure(
+                experiments.FIGURES["fig6_breakdown"],
                 workloads=WORKLOADS, max_instructions=BUDGET,
                 warmup=WARMUP, engine=engine,
             ).render()

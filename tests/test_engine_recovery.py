@@ -119,7 +119,7 @@ class TestInterruptFlush:
 
 class TestSignalExits:
     def _fake_figure(self, exc):
-        def figure(**kwargs):
+        def figure(*args, **kwargs):
             raise exc
         return figure
 
@@ -128,8 +128,8 @@ class TestSignalExits:
     ):
         import repro.__main__ as cli
 
-        monkeypatch.setitem(
-            cli._FIGURES, "5", self._fake_figure(KeyboardInterrupt())
+        monkeypatch.setattr(
+            cli, "run_figure", self._fake_figure(KeyboardInterrupt())
         )
         assert main(["figure", "5"]) == 130
         err = capsys.readouterr().err
@@ -139,13 +139,13 @@ class TestSignalExits:
     def test_sigterm_exits_143(self, monkeypatch, capsys):
         import repro.__main__ as cli
 
-        def figure(**kwargs):
+        def figure(*args, **kwargs):
             # Raise the real signal: the installed handler must convert
             # it into a clean exit, not a KeyboardInterrupt traceback.
             os.kill(os.getpid(), signal.SIGTERM)
             raise AssertionError("signal was not delivered")
 
-        monkeypatch.setitem(cli._FIGURES, "5", figure)
+        monkeypatch.setattr(cli, "run_figure", figure)
         assert main(["figure", "5"]) == 143
         err = capsys.readouterr().err
         assert "interrupted (SIGTERM)" in err

@@ -402,8 +402,9 @@ class TestWatchdog:
 # Experiment failure isolation.
 # ---------------------------------------------------------------------------
 class TestIsolation:
-    def test_sweep_survives_one_failing_workload(self, monkeypatch):
-        # Figures now run through the experiment engine, so the sabotage
+    @pytest.mark.parametrize("name", list(experiments.FIGURES))
+    def test_sweep_survives_one_failing_workload(self, name, monkeypatch):
+        # Figures run through the experiment engine, so the sabotage
         # targets its single simulation seam rather than run_simulation.
         from repro.harness import engine as engine_mod
 
@@ -415,11 +416,14 @@ class TestIsolation:
             return real(job, *args, **kwargs)
 
         monkeypatch.setattr(engine_mod, "_execute_job", sabotaged)
-        result = experiments.fig2_hw_baseline(
+        result = experiments.run_figure(
+            experiments.FIGURES[name],
             workloads=["mcf", "art", "swim"],
             max_instructions=2_000, warmup=0,
+            engine=engine_mod.ExperimentEngine(checkpoints=None),
         )
-        assert [r["workload"] for r in result.rows] == ["mcf", "swim"]
+        survivors = list(dict.fromkeys(r["workload"] for r in result.rows))
+        assert survivors == ["mcf", "swim"]
         assert len(result.errors) == 1
         record = result.errors[0]
         assert record["workload"] == "art"
@@ -468,25 +472,39 @@ class TestIsolation:
 # ---------------------------------------------------------------------------
 class TestResilienceExperiment:
     def test_smoke(self):
-        result = experiments.resilience(
+        result = experiments.run_figure(
+            experiments.RESILIENCE,
             workloads=["mcf"], max_instructions=8_000, warmup=4_000,
-            chunks=4,
         )
         assert not result.errors
-        (row,) = result.rows
-        for key in ("basic", "self_repairing"):
-            metrics = row[key]
-            assert len(metrics["windows"]) == 4
-            assert metrics["pre_ipc"] > 0
-            assert metrics["dip_ipc"] > 0
+        assert [r["policy"] for r in result.rows] == [
+            "basic", "self-repairing",
+        ]
+        for row in result.rows:
+            assert len(row["windows"]) == experiments.CHUNKS
+            assert row["pre_ipc"] > 0
+            assert row["dip_ipc"] > 0
         rendered = result.render()
         assert "Resilience" in rendered
         assert "self-repairing" in rendered
 
-    def test_registered_in_cli(self):
-        from repro.__main__ import _FIGURES
+    def test_trace_path_rows_equal_engine_rows(self, tmp_path):
+        """The traced path runs the engine path's own jobs in-process:
+        same rows, plus the exported event stream."""
+        args = (["swim"], 8_000, 4_000)
+        engine_rows = experiments.run_figure(
+            experiments.RESILIENCE, *args
+        ).rows
+        trace = tmp_path / "swim.json"
+        traced = experiments.resilience_traced(*args, trace_out=str(trace))
+        assert not traced.errors
+        assert traced.rows == engine_rows
+        assert trace.exists()
 
-        assert _FIGURES["resilience"] is experiments.resilience
+    def test_registered_in_cli(self):
+        from repro.__main__ import _FIGURE_NAMES
+
+        assert _FIGURE_NAMES["resilience"] is experiments.RESILIENCE
 
 
 # ---------------------------------------------------------------------------

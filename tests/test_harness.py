@@ -4,12 +4,11 @@ import pytest
 
 from repro.config import PrefetchPolicy
 from repro.harness.experiments import (
+    FIGURES,
     bench_instructions,
     bench_warmup,
     bench_workloads,
-    fig2_hw_baseline,
-    fig5_policies,
-    fig6_breakdown,
+    run_figure,
 )
 from repro.harness.runner import run_simulation
 
@@ -37,17 +36,19 @@ class TestEnvironmentKnobs:
 
 class TestExperimentShapes:
     def test_fig2_rows_and_render(self):
-        result = fig2_hw_baseline(
-            workloads=WORKLOADS, max_instructions=BUDGET, warmup=0
+        result = run_figure(
+            FIGURES["fig2_hw_baseline"],
+            workloads=WORKLOADS, max_instructions=BUDGET, warmup=0,
         )
         assert len(result.rows) == 1
         text = result.render()
         assert "swim" in text and "average" in text
-        assert result.mean_speedup_8x8 > 0
+        assert result.mean("speedup_8x8") > 0
 
     def test_fig5_rows_and_render(self):
-        result = fig5_policies(
-            workloads=WORKLOADS, max_instructions=BUDGET, warmup=0
+        result = run_figure(
+            FIGURES["fig5_policies"],
+            workloads=WORKLOADS, max_instructions=BUDGET, warmup=0,
         )
         row = result.rows[0]
         assert set(row) == {
@@ -56,8 +57,9 @@ class TestExperimentShapes:
         assert "self-repairing" in result.render()
 
     def test_fig6_fractions_sum_to_one(self):
-        result = fig6_breakdown(
-            workloads=WORKLOADS, max_instructions=BUDGET, warmup=0
+        result = run_figure(
+            FIGURES["fig6_breakdown"],
+            workloads=WORKLOADS, max_instructions=BUDGET, warmup=0,
         )
         row = result.rows[0]
         total = sum(v for k, v in row.items() if k != "workload")

@@ -272,11 +272,10 @@ class TestResilienceObservability:
         from repro.harness import experiments
 
         trace = tmp_path / "resilience.json"
-        result = experiments.resilience(
+        result = experiments.resilience_traced(
             workloads=[WORKLOAD],
             max_instructions=40_000,
             warmup=5_000,
-            chunks=4,
             trace_out=str(trace),
         )
         assert result.rows

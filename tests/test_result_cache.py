@@ -10,7 +10,7 @@ import pytest
 
 from repro.config import PrefetchPolicy
 from repro.faults.plan import FaultPlan
-from repro.harness import runner, sweep
+from repro.harness import runner
 from repro.harness.blobstore import payload_checksum
 from repro.harness.cache import (
     ENV_CODE_VERSION,
@@ -18,6 +18,7 @@ from repro.harness.cache import (
     stable_hash,
 )
 from repro.harness.engine import ExperimentEngine, make_job
+from repro.harness.experiments import FIGURES, run_figure
 
 BUDGET = 2_000
 WARMUP = 200
@@ -170,8 +171,9 @@ def test_sweep_baselines_simulated_once_across_ablations(
     workloads = ["art", "dot"]
 
     first = ExperimentEngine(cache=cache)
-    sweep.ablation_phase_detection(
-        workloads, BUDGET, warmup_instructions=WARMUP, engine=first
+    run_figure(
+        FIGURES["ablation_phase_detection"], workloads, BUDGET, WARMUP,
+        engine=first,
     )
     # 2 baselines + 2 variants x 2 workloads, all fresh.
     assert counts["runs"] == 6
@@ -180,14 +182,16 @@ def test_sweep_baselines_simulated_once_across_ablations(
 
     counts["runs"] = 0
     second = ExperimentEngine(cache=cache)
-    result = sweep.ablation_initial_distance(
-        workloads, BUDGET, warmup_instructions=WARMUP, engine=second
+    result = run_figure(
+        FIGURES["ablation_initial_distance"], workloads, BUDGET, WARMUP,
+        engine=second,
     )
     # Baselines and the mode="one"-equivalent runs come from the cache;
     # only the genuinely new variant simulations run.
     assert counts["runs"] < 6
     assert second.stats.jobs_cached >= len(workloads)
-    assert set(result.variants) == {
+    assert set(result.rows[0]) == {
+        "workload",
         "start at 1 (paper default)",
         "start at estimate (eq. 2)",
     }

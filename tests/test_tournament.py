@@ -10,7 +10,12 @@ import pytest
 from repro.faults.chaos import ChaosPlan
 from repro.harness.cache import ResultCache
 from repro.harness.engine import ExperimentEngine
-from repro.harness.experiments import tournament, tournament_contenders
+from repro.harness.experiments import (
+    FIGURES,
+    ranking,
+    run_figure,
+    tournament_contenders,
+)
 from repro.harness.journal import JobJournal
 from repro.hwprefetch.zoo import zoo_names
 
@@ -20,9 +25,9 @@ WARMUP = 500
 
 
 def _tournament(engine):
-    return tournament(
-        workloads=WORKLOADS, max_instructions=BUDGET, warmup=WARMUP,
-        engine=engine,
+    return run_figure(
+        FIGURES["tournament"], workloads=WORKLOADS, max_instructions=BUDGET,
+        warmup=WARMUP, engine=engine,
     )
 
 
@@ -53,7 +58,7 @@ def test_every_contender_competes_once_per_workload(runs):
     contenders = tournament_contenders()
     assert set(zoo_names()) <= set(contenders)
     assert len(set(contenders)) == len(contenders)
-    assert result.contenders == contenders
+    assert [cell.key for cell in result.cells] == contenders
     assert not result.errors, result.errors
     assert [row["workload"] for row in result.rows] == WORKLOADS
     for row in result.rows:
@@ -65,9 +70,11 @@ def test_every_contender_competes_once_per_workload(runs):
 
 def test_ranking_is_sorted_by_mean_speedup(runs):
     result, _engine = runs["cold"]
-    ranking = result.ranking
-    assert sorted(e["policy"] for e in ranking) == sorted(result.contenders)
-    speedups = [entry["mean_speedup"] for entry in ranking]
+    ranked = ranking(result)
+    assert sorted(e["policy"] for e in ranked) == sorted(
+        tournament_contenders()
+    )
+    speedups = [entry["mean_speedup"] for entry in ranked]
     assert speedups == sorted(speedups, reverse=True)
 
 
@@ -86,9 +93,9 @@ def test_render_identical_cold_warm_and_under_chaos(runs):
 
 
 def test_cli_figure_tournament(tmp_path, monkeypatch, capsys):
-    from repro.__main__ import _FIGURES, main
+    from repro.__main__ import _FIGURE_NAMES, main
 
-    assert _FIGURES["tournament"] is tournament
+    assert _FIGURE_NAMES["tournament"] is FIGURES["tournament"]
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     rc = main([
         "figure", "tournament", "--workloads", "art",

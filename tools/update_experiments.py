@@ -14,7 +14,8 @@ replays unchanged results from the cache::
 
 The section between the ``## Reference tables`` heading and the next
 ``## `` heading is replaced with the current contents of the results
-directory, in figure order.
+directory, in ``FIGURES`` order (one file per reference figure, named
+after it).
 """
 
 from __future__ import annotations
@@ -28,25 +29,15 @@ ROOT = pathlib.Path(__file__).parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
 EXPERIMENTS = ROOT / "EXPERIMENTS.md"
 
-#: Preferred table order (anything else is appended alphabetically).
-ORDER = [
-    "fig2_hw_baseline",
-    "fig3_overhead",
-    "fig4_coverage",
-    "fig5_policies",
-    "fig6_breakdown",
-    "fig7_threshold_sweep",
-    "fig8_dlt_sweep",
-    "fig9_sw_vs_hw",
-    "cache_equiv",
-    "ablation_initial_distance",
-    "ablation_grouping",
-    "ablation_confidence_penalty",
-    "ablation_repair_budget",
-    "ablation_phase_detection",
-    "ablation_markov",
-    "resilience",
-    "tournament",
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.harness.engine import ExperimentEngine  # noqa: E402
+from repro.harness.experiments import FIGURES, run_figure  # noqa: E402
+
+#: The figures with a table in EXPERIMENTS.md, in table order (any other
+#: results file is appended alphabetically).
+REFERENCE_FIGURES = [
+    name for name, figure in FIGURES.items() if figure.reference
 ]
 
 
@@ -59,8 +50,8 @@ def collect_tables() -> str:
     is fatal.
     """
     files = {p.stem: p for p in RESULTS.glob("*.txt")}
-    names = [n for n in ORDER if n in files]
-    names += sorted(set(files) - set(ORDER))
+    names = [n for n in REFERENCE_FIGURES if n in files]
+    names += sorted(set(files) - set(REFERENCE_FIGURES))
     tables = []
     for name in names:
         try:
@@ -87,63 +78,14 @@ def collect_tables() -> str:
 
 
 def regenerate(jobs: int, refresh: bool, workloads) -> None:
-    """Re-run every experiment through one shared engine and rewrite
-    benchmarks/results/*.txt (what a full bench pass would produce)."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from repro.harness import experiments as E
-    from repro.harness import sweep as S
-    from repro.harness.engine import ExperimentEngine
-    from repro.harness.experiments import (
-        bench_instructions,
-        bench_warmup,
-    )
-
+    """Re-run every reference figure through one shared engine and
+    rewrite benchmarks/results/*.txt (what a full bench pass would
+    produce); each figure's own arena applies unless ``workloads``."""
     engine = ExperimentEngine(workers=jobs, refresh=refresh)
-    sweep_names = workloads or ["art", "dot", "mcf", "parser", "swim"]
-    budget, warm = bench_instructions(), bench_warmup()
-    producers = {
-        "fig2_hw_baseline": lambda: E.fig2_hw_baseline(
-            workloads=workloads, engine=engine),
-        "fig3_overhead": lambda: E.fig3_overhead(
-            workloads=workloads, engine=engine),
-        "fig4_coverage": lambda: E.fig4_coverage(
-            workloads=workloads, engine=engine),
-        "fig5_policies": lambda: E.fig5_policies(
-            workloads=workloads, engine=engine),
-        "fig6_breakdown": lambda: E.fig6_breakdown(
-            workloads=workloads, engine=engine),
-        "fig7_threshold_sweep": lambda: E.fig7_threshold_sweep(
-            workloads=sweep_names, engine=engine),
-        "fig8_dlt_sweep": lambda: E.fig8_dlt_sweep(
-            workloads=sweep_names, engine=engine),
-        "fig9_sw_vs_hw": lambda: E.fig9_sw_vs_hw(
-            workloads=workloads, engine=engine),
-        "cache_equiv": lambda: E.cache_equivalent_area(
-            workloads=workloads, engine=engine),
-        "ablation_initial_distance": lambda: S.ablation_initial_distance(
-            sweep_names, budget, warmup_instructions=warm, engine=engine),
-        "ablation_grouping": lambda: S.ablation_grouping(
-            sweep_names, budget, warmup_instructions=warm, engine=engine),
-        "ablation_confidence_penalty": (
-            lambda: S.ablation_confidence_penalty(
-                sweep_names, budget, warmup_instructions=warm,
-                engine=engine)),
-        "ablation_repair_budget": lambda: S.ablation_repair_budget(
-            sweep_names, budget, warmup_instructions=warm, engine=engine),
-        "ablation_phase_detection": lambda: S.ablation_phase_detection(
-            sweep_names, budget, warmup_instructions=warm, engine=engine),
-        "ablation_markov": lambda: S.ablation_markov(
-            workloads or ["dot", "mcf", "parser"], budget,
-            warmup_instructions=warm, engine=engine),
-        "resilience": lambda: E.resilience(
-            workloads=sweep_names, engine=engine),
-        "tournament": lambda: E.tournament(
-            workloads=workloads, engine=engine),
-    }
     RESULTS.mkdir(exist_ok=True)
-    for name, produce in producers.items():
+    for name in REFERENCE_FIGURES:
         print(f"regenerating {name} ...", file=sys.stderr)
-        result = produce()
+        result = run_figure(FIGURES[name], workloads, engine=engine)
         (RESULTS / f"{name}.txt").write_text(result.render() + "\n")
     print(engine.stats.summary(), file=sys.stderr)
 
