@@ -5,9 +5,12 @@ ascending measured budgets B, 2B, 3B of the same cell costs one warmup
 plus 3B measured instructions when the engine resumes from end-of-run
 snapshots, versus three warmups plus 6B cold.  That is a ~2.6x
 instruction-count reduction; this bench holds the realized wall-clock to
-at most 50% of cold (pickling and zlib eat some of the margin) and
-re-checks on every cell that the resumed payload is byte-identical to
-the cold one, so the speedup can never come at the price of divergence.
+at most 50% of cold and re-checks on every cell that the resumed payload
+is byte-identical to the cold one, so the speedup can never come at the
+price of divergence.  Capture and restore eat little of the margin: a
+snapshot refers to the workload's shared memory image and program
+instead of pickling them, so it carries only the run's own state
+(tens of KB, milliseconds of pickling and zlib).
 """
 
 import json

@@ -7,7 +7,11 @@ specs and satisfies each one in one of three ways, proven equivalent by
 
 * **in-process** (``workers=1``, or a lone pending job without chaos) —
   each job runs exactly like the legacy ``run_simulation`` call it
-  replaces;
+  replaces.  With checkpoints on, the same-prefix chains of the
+  supervised path run back to back (ascending budgets within a chain),
+  so each job resumes from its predecessor's snapshot while the
+  workload registry still holds that workload's image; without
+  checkpoints, jobs run in ascending budget order;
 * **supervised** (everything else) — same-prefix chains fan out over
   :class:`~repro.harness.supervisor.WorkerSupervisor` processes, which
   stream results back as they finish and reclaim crashed or hung
@@ -680,7 +684,15 @@ class ExperimentEngine:
                         jobs, pending, outcomes, jkeys, commit
                     )
                 else:
-                    for position, index in enumerate(pending):
+                    # Same-prefix chains back to back: each job resumes
+                    # from its predecessor's end snapshot while the
+                    # registry still holds that workload's image.
+                    chained = [
+                        index
+                        for chain in self._chains(jobs, pending)
+                        for index in chain
+                    ]
+                    for position, index in enumerate(chained):
                         if position:
                             # A finished Simulation is one big reference
                             # cycle: free it before the next job starts,

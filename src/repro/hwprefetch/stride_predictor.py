@@ -40,6 +40,31 @@ class StridePredictor:
         self.updates = 0
         self.replacements = 0
 
+    def __getstate__(self):
+        """The table pickles as five columns, one per entry field, and
+        is rebuilt entry by entry on load: a snapshot then carries a few
+        packed lists instead of ``entries`` objects."""
+        state = dict(self.__dict__)
+        table = self._table
+        state["_table"] = (
+            [entry.tag for entry in table],
+            [entry.last_addr for entry in table],
+            [entry.stride for entry in table],
+            bytes(entry.confidence for entry in table),
+            bytes(entry.valid for entry in table),
+        )
+        return state
+
+    def __setstate__(self, state) -> None:
+        tags, last_addrs, strides, confidences, valids = state["_table"]
+        state["_table"] = [
+            _StrideEntry(tag, last_addr, stride, confidence, bool(valid))
+            for tag, last_addr, stride, confidence, valid in zip(
+                tags, last_addrs, strides, confidences, valids
+            )
+        ]
+        self.__dict__.update(state)
+
     def _entry(self, pc: int) -> _StrideEntry:
         return self._table[pc % self.entries]
 

@@ -12,7 +12,7 @@ irregular pointer chains.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -41,12 +41,17 @@ class DataMemory:
     each other's stores and the image never changes.  Pickled, a view is
     indistinguishable from a memory built with the same writes: its state
     is the merged word dict, in the order a single dict would hold it.
+
+    ``image_key`` is the workload registry's ``(name, seed)`` for a view
+    of a memoized image (None otherwise).  It is not pickled; a snapshot
+    uses it to refer to the shared image instead of copying it.
     """
 
     def __init__(self) -> None:
         self._words: Dict[int, Number] = {}
         self.unmapped_reads = 0
         self._image: Dict[int, Number] = _NO_IMAGE
+        self.image_key: Optional[Tuple[str, int]] = None
 
     def view(self) -> "DataMemory":
         """A fresh copy-on-write memory whose image is this memory's
@@ -74,6 +79,7 @@ class DataMemory:
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._image = _NO_IMAGE
+        self.image_key = None
 
     def read(self, addr: int) -> Number:
         """Read the word containing byte address ``addr``."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import pickle
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import (
@@ -59,11 +61,53 @@ _BUILDERS: Dict[str, Callable[[int], Workload]] = {
 }
 
 
-#: The last workload built and its (name, seed).  Every run of a sweep
+#: The last workload built: its (name, seed), the built workload and
+#: its image digest (None until first asked for).  Every run of a sweep
 #: starts from the same initial memory image, so it is built once and
 #: each load hands out a copy-on-write view of it.  One entry only: a
 #: sweep visits its workloads in turn, and each image is tens of MB.
-_last: Optional[Tuple[Tuple[str, int], Workload]] = None
+_last: Optional[Tuple[Tuple[str, int], Workload, Optional[str]]] = None
+
+
+def _built(key: Tuple[str, int]) -> Workload:
+    """The memo's workload for ``key``, built if the memo holds another."""
+    global _last
+    if _last is None or _last[0] != key:
+        name, seed = key
+        try:
+            builder = _BUILDERS[name]
+        except KeyError:
+            known = ", ".join(sorted(_BUILDERS))
+            raise KeyError(
+                f"unknown workload {name!r}; known: {known}"
+            ) from None
+        _last = None  # release the old image before building the next
+        _last = (key, builder(seed), None)
+    return _last[1]
+
+
+def shared_workload(
+    key: Tuple[str, int], build: bool = True
+) -> Optional[Tuple[Workload, str]]:
+    """The built workload the memo holds for ``key = (name, seed)`` and
+    its image digest.
+
+    Builds the workload when the memo holds another one, or returns
+    None then if ``build`` is False.  The digest hashes the image's
+    words in order and is computed once per built image.  The returned
+    :class:`Workload` is the shared original: read it, never modify it.
+    """
+    global _last
+    if not build and (_last is None or _last[0] != key):
+        return None
+    built = _built(key)
+    digest = _last[2]
+    if digest is None:
+        digest = hashlib.blake2b(
+            pickle.dumps(built.memory.words(), protocol=4), digest_size=16
+        ).hexdigest()
+        _last = (key, built, digest)
+    return built, digest
 
 
 def load_workload(name: str, seed: int = 1) -> Workload:
@@ -74,22 +118,15 @@ def load_workload(name: str, seed: int = 1) -> Workload:
     once: each returns a new :class:`Workload` that shares the (never
     modified) :class:`Program` and gets its own copy-on-write view of the
     built memory (:meth:`DataMemory.view`), so runs never see each
-    other's stores.
+    other's stores.  The view records ``(name, seed)`` as its
+    ``image_key``, which lets a snapshot refer to the shared image
+    instead of copying it (:mod:`repro.checkpoint.snapshot`).
     """
-    global _last
     key = (name, seed)
-    if _last is None or _last[0] != key:
-        try:
-            builder = _BUILDERS[name]
-        except KeyError:
-            known = ", ".join(sorted(_BUILDERS))
-            raise KeyError(
-                f"unknown workload {name!r}; known: {known}"
-            ) from None
-        _last = None  # release the old image before building the next
-        _last = (key, builder(seed))
-    built = _last[1]
-    return dataclasses.replace(built, memory=built.memory.view())
+    built = _built(key)
+    view = built.memory.view()
+    view.image_key = key
+    return dataclasses.replace(built, memory=view)
 
 
 def all_workload_names() -> List[str]:

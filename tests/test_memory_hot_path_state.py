@@ -104,6 +104,13 @@ def test_restore_keeps_the_attribute_lists(ran_hierarchy):
     assert list(vars(copy)) == HIERARCHY_ATTRS
     assert list(vars(copy.l1)) == CACHE_ATTRS
     assert list(vars(copy.stream_prefetcher)) == STREAM_BUFFER_ATTRS
+    # The predictor pickles its table as columns and rebuilds the
+    # entries on load: same attributes, same entries, same order.
+    predictor = ran_hierarchy.stream_prefetcher.predictor
+    restored = copy.stream_prefetcher.predictor
+    assert list(vars(restored)) == PREDICTOR_ATTRS
+    assert restored._table == predictor._table
+    assert any(entry.valid for entry in restored._table)
 
 
 def test_trident_attributes_are_exactly_the_listed_ones(ran_simulation):
