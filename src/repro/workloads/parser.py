@@ -14,7 +14,7 @@ so traces exit early and coverage stays low (Figure 4).
 from __future__ import annotations
 
 from .base import Workload, counted_loop, new_parts
-from .data import build_array, build_hash_table
+from .data import build_array, build_hash_table, random_below
 
 NUM_SITES = 40               # replicated probe sites (distinct PCs)
 BUCKETS = 16_384
@@ -38,10 +38,7 @@ def build(seed: int = 1) -> Workload:
     tokens = build_array(
         parts.alloc,
         NUM_SITES * PROBES_PER_SITE,
-        init=(
-            parts.rng.randrange(1 << 16)
-            for _ in range(NUM_SITES * PROBES_PER_SITE)
-        ),
+        init=random_below(parts.rng, 1 << 16, NUM_SITES * PROBES_PER_SITE),
     )
 
     close_outer = counted_loop(asm, "r21", OUTER_ITERS, "sentence")

@@ -123,6 +123,59 @@ class TestCheckGate:
         assert "best 2.0000" in capsys.readouterr().out
 
 
+def _paired(speedup, bench="perfbench_fig5"):
+    """A perfbench record: ``speedup`` is the change over its parent,
+    measured in alternating pairs."""
+    record = _record(speedup=speedup, instructions=100_000, warmup=50_000)
+    record["bench"] = bench
+    record["end_to_end"] = {
+        "sim_kips": {
+            "parent_q1_med_q3": [99.0, 100.0, 101.0],
+            "change_q1_med_q3": [
+                99.0 * speedup, 100.0 * speedup, 101.0 * speedup,
+            ],
+        },
+    }
+    return record
+
+
+class TestPairedRecords:
+    """A paired record is judged on its own ratio against its parent."""
+
+    def test_neutral_change_after_a_fast_one_passes(self, tmp_path, capsys):
+        history = _history(tmp_path, [_paired(2.5), _paired(0.99)])
+        assert bench_trend.main(["--history", history, "check"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "vs parent 1.0000" in out
+        assert "-1.0%" in out
+
+    def test_slower_than_its_parent_fails(self, tmp_path, capsys):
+        history = _history(tmp_path, [_paired(0.7)])
+        assert bench_trend.main(["--history", history, "check"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_report_compares_with_the_parent(self, tmp_path, capsys):
+        history = _history(tmp_path, [_paired(1.2), _paired(1.05)])
+        assert bench_trend.main(["--history", history, "report"]) == 0
+        assert "latest vs parent: 1.0500 vs 1.0000 (+5.0%)" in (
+            capsys.readouterr().out
+        )
+
+    def test_unpaired_series_ignore_paired_records(self, tmp_path, capsys):
+        history = _history(tmp_path, [
+            _paired(3.0, bench="interp_fastpath"),
+            _record(speedup=2.0, instructions=100_000, warmup=50_000),
+            _record(speedup=1.9, instructions=100_000, warmup=50_000),
+        ])
+        assert bench_trend.main(["--history", history, "check"]) == 0
+        assert "vs best 2.0000" in capsys.readouterr().out
+
+    def test_lone_unpaired_record_has_no_verdict(self, tmp_path, capsys):
+        history = _history(tmp_path, [_record(speedup=0.1)])
+        assert bench_trend.main(["--history", history, "check"]) == 0
+        assert "nothing to compare" in capsys.readouterr().out
+
+
 class TestReport:
     def test_report_shows_trend_and_delta(self, tmp_path, capsys):
         history = _history(tmp_path, [

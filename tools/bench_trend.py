@@ -7,18 +7,29 @@ revision) to ``benchmarks/results/BENCH_history.jsonl`` — see
 
 * ``report`` — a per-bench trend table: every recorded run at each
   budget, its headline metric, and the delta of the latest run against
-  the recorded best;
-* ``check``  — the regression gate: for every (bench, budget) series
-  with at least two records, fail when the latest run's headline metric
-  regresses more than ``--threshold`` (default 20%) against the best
-  earlier record.  ``--report-only`` prints the verdicts but always
-  exits 0 (CI's mode while history accumulates);
+  its baseline (below);
+* ``check``  — the regression gate: for every (bench, budget) series,
+  fail when the latest run's headline metric regresses more than
+  ``--threshold`` (default 20%) against its baseline.  ``--report-only``
+  prints the verdicts but always exits 0 (CI's mode while history
+  accumulates);
 * ``measure`` — run a tracked bench directly (no pytest session) and
   append its record, so CI and developers can grow history cheaply:
   ``REPRO_BENCH_INSTRUCTIONS=8000 python tools/bench_trend.py measure``.
 
 The headline metric is the record's ``speedup`` when it has one (higher
 is better), else the summed wall time of its cells (lower is better).
+Its baseline depends on what the record measured:
+
+* a *paired* record (``perfbench`` runs alternating parent and change,
+  recorded with ``end_to_end`` parent/change quartiles) carries a
+  ``speedup`` that already is the change over its parent, so it is
+  judged against 1.0, the parent itself.  Comparing it with earlier
+  ratios would make every neutral change after a fast one a regression;
+* any other record is an absolute measurement, judged against the best
+  earlier unpaired record of its series (a slow middle run must not
+  lower the bar); a series with no earlier one has no verdict yet.
+
 Records are only ever compared within one (bench, instructions, warmup)
 series: an 8k-instruction smoke run and a 120k full run measure
 different things and must not gate each other.
@@ -77,6 +88,30 @@ def _best(records: List[Dict]) -> float:
     return max(values) if higher else min(values)
 
 
+def _paired(record: Dict) -> bool:
+    """True for a change-over-parent record from alternating pairs."""
+    end_to_end = record.get("end_to_end")
+    return (
+        isinstance(record.get("speedup"), (int, float))
+        and isinstance(end_to_end, dict)
+        and any(
+            isinstance(metric, dict) and "parent_q1_med_q3" in metric
+            for metric in end_to_end.values()
+        )
+    )
+
+
+def _baseline(records: List[Dict]) -> Optional[Tuple[str, float]]:
+    """``(name, value)`` the latest record is judged against, or None
+    while an unpaired series has no earlier unpaired record."""
+    if _paired(records[-1]):
+        return ("parent", 1.0)
+    earlier = [r for r in records[:-1] if not _paired(r)]
+    if not earlier:
+        return None
+    return ("best", _best(earlier))
+
+
 def _regression(latest: float, best: float, higher: bool) -> float:
     """Fractional regression of ``latest`` against ``best`` (>0 means
     worse); guards the zero-best corner."""
@@ -106,12 +141,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             stamp = record.get("recorded_at", "?")
             rev = record.get("git_rev") or "?"
             print(f"  {stamp}  {rev:>9}  {metric}={value:.4f}")
-        if len(records) >= 2:
-            best = _best(records[:-1])
+        baseline = _baseline(records)
+        if baseline is not None:
+            name, base = baseline
             _, latest, _ = _headline(records[-1])
-            regression = _regression(latest, best, higher)
+            regression = _regression(latest, base, higher)
+            label = "best-so-far" if name == "best" else name
             print(
-                f"  latest vs best-so-far: {latest:.4f} vs {best:.4f} "
+                f"  latest vs {label}: {latest:.4f} vs {base:.4f} "
                 f"({-regression * 100:+.1f}%)"
             )
         print()
@@ -121,31 +158,30 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     series = _load_series(args.history)
     gated = {
-        key: records
+        key: (records, _baseline(records))
         for key, records in series.items()
-        if len(records) >= 2
+        if _baseline(records) is not None
     }
     if not gated:
         print(
-            "bench-trend gate: no series with >=2 records yet; "
+            "bench-trend gate: no series with a baseline yet; "
             "nothing to compare"
         )
         return 0
     failures = 0
     for key in sorted(gated):
         bench, instructions, warmup = key
-        records = gated[key]
+        records, (name, base) = gated[key]
         metric, _, higher = _headline(records[0])
-        best = _best(records[:-1])
         _, latest, _ = _headline(records[-1])
-        regression = _regression(latest, best, higher)
+        regression = _regression(latest, base, higher)
         verdict = "PASS"
         if regression > args.threshold:
             verdict = "FAIL"
             failures += 1
         print(
             f"{verdict}  {bench} @ {instructions:,}+{warmup:,}: "
-            f"{metric} {latest:.4f} vs best {best:.4f} "
+            f"{metric} {latest:.4f} vs {name} {base:.4f} "
             f"({-regression * 100:+.1f}%, gate -{args.threshold:.0%})"
         )
     if failures and not args.report_only:
