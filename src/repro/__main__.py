@@ -34,7 +34,7 @@ from typing import List, Optional
 
 from .errors import ReproError
 from .faults.plan import FaultPlan
-from .harness.engine import ExperimentEngine, make_job
+from .harness.engine import ExperimentEngine, _execute_job, make_job
 from .harness.experiments import (
     FIGURES,
     RESILIENCE,
@@ -42,7 +42,6 @@ from .harness.experiments import (
     run_figure,
 )
 from .harness.report import render_mapping, render_timeline
-from .harness.runner import run_simulation
 from .hwprefetch.zoo import all_policy_names
 from .logutil import configure_logging
 from .obs import Observer, write_chrome_trace, write_jsonl, write_metrics
@@ -550,24 +549,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ref = f"scenario:{args.scenario}"
     elif args.trace:
         ref = f"trace:{args.trace}"
-    fault_plan = None
-    if args.inject:
-        fault_plan = FaultPlan.load(args.inject)
-    if args.resume_from:
-        incompatible = (
-            args.inject
-            or args.trace_out
-            or args.metrics_out
-            or args.sample_interval
+    if args.resume_from and (
+        args.inject
+        or args.trace_out
+        or args.metrics_out
+        or args.sample_interval
+    ):
+        print(
+            "error: --resume-from restores a complete captured run "
+            "and cannot be combined with --inject/--trace-out/"
+            "--metrics-out/--sample-interval",
+            file=sys.stderr,
         )
-        if incompatible:
-            print(
-                "error: --resume-from restores a complete captured run "
-                "and cannot be combined with --inject/--trace-out/"
-                "--metrics-out/--sample-interval",
-                file=sys.stderr,
-            )
-            return 2
+        return 2
+    job = make_job(
+        ref,
+        policy=args.policy,
+        max_instructions=args.instructions,
+        warmup_instructions=args.warmup,
+        seed=args.seed,
+        fault_plan=FaultPlan.load(args.inject) if args.inject else None,
+        max_cycles=args.max_cycles,
+        wall_time_limit=args.wall_time_limit,
+        sample_interval=args.sample_interval,
+        fast=args.fast,
+        checkpoint_every=args.checkpoint_every,
+    )
+    if args.resume_from:
         from .checkpoint import Snapshot, restore
 
         try:
@@ -577,15 +585,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: cannot read snapshot: {exc}", file=sys.stderr)
             return 2
         sim = restore(snapshot)
-        expected = ref
-        if ":" in ref:
-            from .scenarios import resolve_job_source
-
-            expected = resolve_job_source(ref)[0]
-        if sim.workload.name != expected:
+        if sim.workload.name != job.workload:
             print(
                 f"error: snapshot holds workload "
-                f"{sim.workload.name!r}, not {expected!r}",
+                f"{sim.workload.name!r}, not {job.workload!r}",
                 file=sys.stderr,
             )
             return 2
@@ -597,45 +600,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = sim.resume(args.instructions)
     elif args.trace_out or args.metrics_out or args.sample_interval:
         # Trace/metrics export needs the live observer object, which a
-        # cached replay or worker process cannot provide: run in-process,
-        # bypassing the engine (identical results either way).
-        workload_arg = ref
-        if ":" in ref:
-            # External sources become Workload objects here: the
-            # in-process export path bypasses the engine, so the job
-            # fields never exist to be materialized downstream.
-            from .scenarios import materialize_workload, resolve_job_source
-
-            name, scenario, trace = resolve_job_source(ref)
-            workload_arg = materialize_workload(scenario, trace, args.seed)
+        # cached replay or worker process cannot provide: the same job
+        # runs in-process through the engine's simulation seam.
         observer = Observer(sample_interval=args.sample_interval)
-        result = run_simulation(
-            workload_arg,
-            policy=args.policy,
-            max_instructions=args.instructions,
-            warmup_instructions=args.warmup,
-            seed=args.seed,
-            fault_plan=fault_plan,
-            max_cycles=args.max_cycles,
-            wall_time_limit=args.wall_time_limit,
-            observer=observer,
-            fast=args.fast,
-        )
+        result = _execute_job(job, observer=observer)[0]
         _export_observer(observer, args, workload=result.workload)
     else:
         engine = _engine_from_args(args)
-        job = make_job(
-            ref,
-            policy=args.policy,
-            max_instructions=args.instructions,
-            warmup_instructions=args.warmup,
-            seed=args.seed,
-            fault_plan=fault_plan,
-            max_cycles=args.max_cycles,
-            wall_time_limit=args.wall_time_limit,
-            fast=args.fast,
-            checkpoint_every=args.checkpoint_every,
-        )
         outcome = engine.run([job], isolate=False)[0]
         result = outcome.result
         if outcome.cached:
@@ -666,7 +637,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "distance repairs": result.repairs_applied,
         "helper active": f"{result.helper_active_fraction:.1%}",
     }
-    if fault_plan is not None:
+    if job.fault_plan is not None:
         summary["faults applied"] = result.faults_applied
     print(render_mapping("simulation result", summary))
     if result.fault_log:
@@ -750,15 +721,15 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     import json
 
     observer = Observer()
-    run_simulation(
+    job = make_job(
         args.workload,
         policy=args.policy,
         max_instructions=args.instructions,
         warmup_instructions=args.warmup,
         seed=args.seed,
-        observer=observer,
         fast=args.fast,
     )
+    _execute_job(job, observer=observer)
     timelines = observer.timelines.to_dicts()
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -774,20 +745,13 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
-    from .config import SimulationConfig
     from .harness.runner import Simulation
-    from .hwprefetch.zoo import resolve_policy
     from .isa.disasm import format_instruction
 
-    policy, hw_prefetcher = resolve_policy(args.policy)
-    sim = Simulation(
-        args.workload,
-        SimulationConfig(
-            policy=policy,
-            hw_prefetcher=hw_prefetcher,
-            max_instructions=args.instructions,
-        ),
+    job = make_job(
+        args.workload, policy=args.policy, max_instructions=args.instructions
     )
+    sim = Simulation(job.workload, job.config)
     sim.run()
     if sim.runtime is None:
         print("policy has no Trident runtime (no traces)")
@@ -872,12 +836,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ("baseline", args.baseline),
         ("candidate", args.candidate),
     ):
-        results[role] = run_simulation(
+        job = make_job(
             args.workload,
             policy=policy,
             max_instructions=args.instructions,
             warmup_instructions=args.warmup,
         )
+        results[role] = _execute_job(job)[0]
     base, cand = results["baseline"], results["candidate"]
     print(
         bar_chart(

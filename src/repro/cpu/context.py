@@ -26,9 +26,6 @@ class ThreadContext:
         if index != ZERO_REGISTER:
             self.regs[index] = value
 
-    def read_reg(self, index: int) -> Number:
-        return self.regs[index]
-
     def reset(self, entry: int = 0) -> None:
         for i in range(NUM_REGISTERS):
             self.regs[i] = 0

@@ -27,9 +27,9 @@ class ConfigError(ReproError, ValueError):
 class CheckpointError(ReproError, RuntimeError):
     """A simulator snapshot could not be captured, parsed, or restored —
     truncated or corrupt payload, a format/code-version mismatch, or a
-    capture attempted at a non-quiescent point (in-flight helper job,
-    queued optimization event, pending fault revert).  Never transient:
-    the store treats it as "no checkpoint" and runs cold instead."""
+    capture attempted at a non-quiescent point (a pending fault
+    revert).  Never transient: the store treats it as "no checkpoint"
+    and runs cold instead."""
 
 
 class FleetError(ReproError, RuntimeError):

@@ -31,12 +31,12 @@ for interval sampling (``sample_interval``): observation hooks are off
 by default in children, which cannot perturb results — the obs layer
 never touches simulated timing (DESIGN.md §5b) — but keeps the pickled
 result payload small.  Trace/metrics *export* needs the live observer
-object and therefore stays an in-process, engine-bypassing concern of
-the CLI.
+object, so an exporting caller runs its job in-process through the same
+:func:`_execute_job` seam, handing it its own observer.
 
-Error isolation reuses ``run_isolated`` semantics per job: a failing
-job becomes an error record (transient failures earn one retry), and
-grouping helpers drop just that workload's rows from a figure.
+Error isolation is per job (:func:`_worker`): a failing job becomes an
+error record (transient failures earn one retry), and
+:func:`group_outcomes` drops just that group's rows from a figure.
 """
 
 from __future__ import annotations
@@ -54,7 +54,12 @@ from ..config import (
     SimulationConfig,
     TridentConfig,
 )
-from ..errors import CheckpointError, ReproError, WorkerCrashError
+from ..errors import (
+    CheckpointError,
+    ConfigError,
+    ReproError,
+    WorkerCrashError,
+)
 from ..faults.plan import FaultPlan
 from ..logutil import get_logger
 from ..obs import MetricsRegistry, Observer
@@ -76,8 +81,8 @@ class SimJob:
     """One simulation, fully specified and content-addressable.
 
     ``group`` names the error-isolation unit (default: the workload) —
-    when any job of a group fails, figure helpers drop the whole group's
-    rows, matching the legacy per-workload ``run_isolated`` closures.
+    when any job of a group fails, :func:`group_outcomes` drops the
+    whole group's rows.
     """
 
     workload: str
@@ -212,7 +217,8 @@ def make_job(
     group: str = "",
     hw_prefetcher: Optional[str] = None,
 ) -> SimJob:
-    """Build a :class:`SimJob` with ``run_simulation``'s signature.
+    """Build a :class:`SimJob`: the one place where run arguments
+    become a :class:`~repro.config.SimulationConfig`.
 
     ``workload`` accepts a builtin benchmark name, a ``scenario:<name
     or file>`` / ``trace:<file>`` reference, or a ScenarioSpec /
@@ -222,14 +228,15 @@ def make_job(
 
     ``policy`` additionally accepts a hardware-prefetcher zoo name
     (see :mod:`repro.hwprefetch.zoo`), which becomes ``HW_ONLY`` with
-    ``hw_prefetcher`` set to that name.
+    ``hw_prefetcher`` set to that name; naming a different
+    ``hw_prefetcher`` alongside it raises :class:`ConfigError`.
     """
     from ..hwprefetch.zoo import resolve_policy
 
     policy, zoo_name = resolve_policy(policy)
     if zoo_name is not None:
         if hw_prefetcher is not None and hw_prefetcher != zoo_name:
-            raise ReproError(
+            raise ConfigError(
                 f"policy {zoo_name!r} conflicts with "
                 f"hw_prefetcher={hw_prefetcher!r}"
             )
@@ -343,12 +350,12 @@ def _execute_job(
     snapshots back to the store as it runs.  Any checkpoint problem
     (corrupt file, stale stamp) silently degrades to a cold run.
 
-    This is the single simulation seam for both the in-process path and
-    supervised workers, which call it through this module's global so a
-    patch made before the fork reaches them; the baseline-reuse
-    regression test counts invocations through ``runner.Simulation``.
-    A caller that exports the run's event stream passes its own
-    ``observer``.
+    This is the single simulation seam for the in-process path,
+    supervised workers, ``run_simulation`` and the CLI's exports.
+    Workers call it through this module's global so a patch made before
+    the fork reaches them; the baseline-reuse regression test counts
+    invocations through ``runner.Simulation``.  A caller that exports
+    the run's event stream passes its own ``observer``.
     """
     from ..checkpoint import CheckpointStore, restore as restore_snapshot
 
@@ -475,12 +482,20 @@ def _worker(
     resume_ok: bool = True,
     recorder: Optional[SpanRecorder] = None,
     context: Optional[TraceContext] = None,
+    observe: Optional[Callable[[], Observer]] = None,
 ) -> JobOutcome:
-    """Run one job with failures isolated into records (picklable)."""
+    """Run one job with failures isolated into records (picklable).
+
+    A transient failure earns exactly one retry; a second failure is
+    recorded with ``retried: True``.  ``observe``, when given, makes a
+    fresh :class:`Observer` for each attempt, so an exported event
+    stream never mixes a failed attempt's events into the retry's.
+    """
 
     def attempt() -> JobOutcome:
         result, elapsed, resumed = _execute_job(
-            job, ckpt_root, resume_ok, recorder, context
+            job, ckpt_root, resume_ok, recorder, context,
+            observer=None if observe is None else observe(),
         )
         return JobOutcome(
             result=result, elapsed_s=elapsed, resumed_from=resumed
@@ -946,18 +961,17 @@ class ExperimentEngine:
             metrics.gauge("cache.quarantined").set(self.cache.quarantined)
 
 
-def run_workload_groups(
-    engine: ExperimentEngine,
+def group_outcomes(
     jobs: Sequence[SimJob],
+    outcomes: Sequence[JobOutcome],
     errors: List[Dict],
 ) -> Dict[str, List[SimulationResult]]:
-    """Run jobs and group results by workload with failure isolation.
+    """Group job results by isolation group (``job.group``, else the
+    workload), in job order.
 
-    Mirrors the legacy per-workload ``run_isolated`` closures: a group
-    with any failed job contributes no results, and exactly one error
-    record (its first failure, in job order) lands in ``errors``.
+    A group with any failed job contributes no results, and exactly one
+    error record (its first failure, in job order) lands in ``errors``.
     """
-    outcomes = engine.run(jobs)
     grouped: Dict[str, List[SimulationResult]] = {}
     failed: set = set()
     for job, outcome in zip(jobs, outcomes):
@@ -971,3 +985,12 @@ def run_workload_groups(
             continue
         grouped.setdefault(name, []).append(outcome.result)
     return grouped
+
+
+def run_workload_groups(
+    engine: ExperimentEngine,
+    jobs: Sequence[SimJob],
+    errors: List[Dict],
+) -> Dict[str, List[SimulationResult]]:
+    """Run jobs on ``engine`` and :func:`group_outcomes` their results."""
+    return group_outcomes(jobs, engine.run(jobs), errors)

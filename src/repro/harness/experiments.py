@@ -33,7 +33,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -53,8 +52,8 @@ from .charts import bar_chart, grouped_bar_chart, sparkline
 from .engine import (
     ExperimentEngine,
     SimJob,
-    _error_record,
-    _execute_job,
+    _worker,
+    group_outcomes,
     make_job,
     run_workload_groups,
 )
@@ -71,32 +70,6 @@ from .runner import SimulationResult
 ENV_INSTRUCTIONS = "REPRO_BENCH_INSTRUCTIONS"
 ENV_WARMUP = "REPRO_BENCH_WARMUP"
 ENV_WORKLOADS = "REPRO_BENCH_WORKLOADS"
-
-_T = TypeVar("_T")
-
-
-def run_isolated(
-    errors: List[Dict], workload: str, fn: Callable[[], _T]
-) -> Optional[_T]:
-    """Run one workload's simulations with failure isolation.
-
-    A failing workload no longer aborts the whole figure sweep: the
-    exception becomes a record in ``errors`` (rendered under the result
-    table) and the caller gets None for that workload.  Transient errors
-    — a watchdog wall-time trip under host load, anything flagged
-    ``transient`` — earn exactly one retry before being recorded.
-    """
-    try:
-        return fn()
-    except Exception as exc:
-        if getattr(exc, "transient", False):
-            try:
-                return fn()
-            except Exception as retry_exc:
-                errors.append(_error_record(workload, retry_exc, retried=True))
-                return None
-        errors.append(_error_record(workload, exc, retried=False))
-        return None
 
 
 def bench_instructions(default: int = 120_000) -> int:
@@ -902,23 +875,6 @@ def _suffixed_path(base: str, suffix: str) -> str:
     return f"{root}.{suffix}{ext or '.json'}"
 
 
-def _traced_runs(
-    cells: Sequence[Cell], jobs: Sequence[SimJob], name: str, out: str
-) -> List[SimulationResult]:
-    """One workload's resilience jobs, in-process, with the
-    self-repairing run's event stream written to ``out``."""
-    runs = []
-    for cell, job in zip(cells, jobs):
-        observer = Observer(sample_interval=job.sample_interval)
-        runs.append(_execute_job(job, observer=observer)[0])
-        if cell.key == "self-repairing":
-            write_chrome_trace(
-                observer.events(), out,
-                metadata={"workload": name, "policy": job.config.policy.value},
-            )
-    return runs
-
-
 def resilience_traced(
     workloads: Optional[Sequence[str]],
     max_instructions: Optional[int],
@@ -931,25 +887,31 @@ def resilience_traced(
     renewed repairs and the windowed-IPC counter track in one timeline
     (``trace_out``, suffixed per workload when there are several).
 
-    The jobs are the engine path's own; they run in-process because the
-    export needs each live observer's event ring.
+    The jobs are the engine path's own, isolated per job by the engine's
+    worker; they run in-process because the export needs each live
+    observer's event ring.
     """
     result, jobs = _plan(RESILIENCE, workloads, max_instructions, warmup, fast)
     width = len(result.cells)
-    grouped: Dict[str, List[SimulationResult]] = {}
-    for index, name in enumerate(result.workloads):
-        group = jobs[index * width:(index + 1) * width]
-        out = (
-            trace_out if len(result.workloads) == 1
-            else _suffixed_path(trace_out, name)
-        )
-        runs = run_isolated(
-            result.errors, name,
-            lambda: _traced_runs(result.cells, group, name, out),
-        )
-        if runs is not None:
-            grouped[name] = runs
-    return _reduce(result, grouped)
+    outcomes = []
+    for index, job in enumerate(jobs):
+        observers: List[Observer] = []
+
+        def observe() -> Observer:
+            observers.append(Observer(sample_interval=job.sample_interval))
+            return observers[-1]
+
+        outcome = _worker(job, observe=observe)
+        outcomes.append(outcome)
+        name = result.workloads[index // width]
+        if outcome.ok and result.cells[index % width].key == "self-repairing":
+            write_chrome_trace(
+                observers[-1].events(),
+                trace_out if len(result.workloads) == 1
+                else _suffixed_path(trace_out, name),
+                metadata={"workload": name, "policy": job.config.policy.value},
+            )
+    return _reduce(result, group_outcomes(jobs, outcomes, result.errors))
 
 
 # ---------------------------------------------------------------------------

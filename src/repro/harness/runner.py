@@ -35,7 +35,7 @@ from ..workloads.registry import BENCHMARK_NAMES, load_workload
 _log = get_logger("harness")
 
 #: Chunk stride while a checkpoint capture is waiting for a quiescent
-#: point — small enough to catch a helper job finishing promptly, large
+#: point — small enough to catch a fault window closing promptly, large
 #: enough that the extra chunk-boundary bookkeeping stays negligible.
 _CKPT_RETRY_STEP = 512
 
@@ -363,14 +363,16 @@ class Simulation:
         Eligible points: every ``checkpoint_every`` committed
         instructions (when configured), the final-call mark shortly
         before the end, and the end of the run (or a halt).  A capture
-        can fail benignly — the helper thread may have an optimization
-        job in flight, which cannot be snapshotted — so a due capture
-        stays *due* until one succeeds; the chunk loop shortens its
-        strides while a capture is pending so the next quiescent point
-        is found within a few hundred instructions.  The final-call
-        mark exists because the exact end of a run is not reliably
-        quiescent: a capture slightly early still lets a longer run
-        skip almost the whole prefix.
+        can fail benignly — a fault-plan run inside an active fault
+        window holds a pending revert, which cannot be snapshotted
+        (:func:`repro.checkpoint.snapshot.is_quiescent`); helper jobs
+        and queued optimization events never block it — so a due
+        capture stays *due* until one succeeds; the chunk loop shortens
+        its strides while a capture is pending so the next quiescent
+        point is found within a few hundred instructions.  The
+        final-call mark exists because the exact end of a run is not
+        reliably quiescent: a capture slightly early still lets a
+        longer run skip almost the whole prefix.
         """
         at_end = committed >= target or self.core.ctx.halted
         boundary = self._next_ckpt_at
@@ -640,9 +642,13 @@ def run_simulation(
 ) -> SimulationResult:
     """Convenience one-call simulation (the quickstart entry point).
 
-    ``policy`` accepts a :class:`~repro.config.PrefetchPolicy`, its
-    string value, or a hardware-prefetcher zoo name (which runs as
-    ``HW_ONLY`` with that engine — see :mod:`repro.hwprefetch.zoo`).
+    ``workload`` accepts anything :func:`~repro.harness.engine.make_job`
+    does — a builtin name, a ``scenario:``/``trace:`` reference, a
+    ScenarioSpec or TraceSpec — or a hand-built
+    :class:`~repro.workloads.base.Workload`.  ``policy`` accepts a
+    :class:`~repro.config.PrefetchPolicy`, its string value, or a
+    hardware-prefetcher zoo name (which runs as ``HW_ONLY`` with that
+    engine — see :mod:`repro.hwprefetch.zoo`).
 
     Pass an :class:`~repro.obs.Observer` to collect metrics and trace
     events, or just ``sample_interval`` to get windowed IPC samples with
@@ -652,34 +658,33 @@ def run_simulation(
     :class:`~repro.errors.SimulationStallError` when a watchdog budget
     (``max_cycles`` / ``wall_time_limit``) is exhausted mid-run.
     """
-    from ..hwprefetch.zoo import resolve_policy
+    from .engine import _execute_job, make_job
 
-    policy, zoo_name = resolve_policy(policy)
-    if zoo_name is not None:
-        if hw_prefetcher is not None and hw_prefetcher != zoo_name:
-            raise ConfigError(
-                f"policy {zoo_name!r} conflicts with "
-                f"hw_prefetcher={hw_prefetcher!r}"
-            )
-        hw_prefetcher = zoo_name
-    if observer is None and sample_interval is not None:
-        observer = Observer(sample_interval=sample_interval)
-    config = SimulationConfig(
-        machine=machine or MachineConfig(),
-        trident=trident or TridentConfig(),
+    built = workload if isinstance(workload, Workload) else None
+    job = make_job(
+        workload if built is None else built.name,
         policy=policy,
+        machine=machine,
+        trident=trident,
         max_instructions=max_instructions,
         warmup_instructions=warmup_instructions,
         overhead_only=overhead_only,
         seed=seed,
+        initial_distance_mode=initial_distance_mode,
+        fault_plan=fault_plan,
         max_cycles=max_cycles,
         wall_time_limit=wall_time_limit,
+        sample_interval=sample_interval,
         fast=fast,
         hw_prefetcher=hw_prefetcher,
     )
+    if built is None:
+        return _execute_job(job, observer=observer)[0]
+    if observer is None and sample_interval is not None:
+        observer = Observer(sample_interval=sample_interval)
     return Simulation(
-        workload,
-        config,
+        built,
+        job.config,
         initial_distance_mode=initial_distance_mode,
         fault_plan=fault_plan,
         observer=observer,

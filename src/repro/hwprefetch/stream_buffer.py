@@ -227,8 +227,3 @@ class StreamBufferPrefetcher:
         buffers[slot] = new
         self.allocations += 1
         self._fill(new, cycle)
-
-    # ------------------------------------------------------------------
-    @property
-    def active_buffers(self) -> int:
-        return sum(1 for b in self._buffers if b is not None)

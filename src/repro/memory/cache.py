@@ -243,8 +243,3 @@ class SetAssociativeCache:
     @property
     def resident_blocks(self) -> int:
         return sum(len(bucket) for bucket in self._sets.values())
-
-    def clear_statistics(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0

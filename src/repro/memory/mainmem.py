@@ -161,11 +161,6 @@ class HeapAllocator:
         self.stagger = stagger
         self._large_allocs = 0
 
-    @property
-    def brk(self) -> int:
-        """One past the highest address handed out so far."""
-        return self._next
-
     def alloc(self, nbytes: int, align: int = WORD_SIZE) -> int:
         """Reserve ``nbytes`` and return the base address.
 

@@ -69,17 +69,6 @@ def write_jsonl(events: Iterable[TraceEvent], path: str) -> int:
     return count
 
 
-def read_jsonl(path: str) -> List[Dict]:
-    """Load a JSONL export back into dicts (tooling / tests)."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def _track_for(event: TraceEvent) -> int:
     kind = event.kind
     if kind in _CORE_KINDS:

@@ -23,7 +23,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..errors import ConfigError
 from ..workloads.base import Workload
-from ..workloads.registry import BENCHMARK_NAMES
 from .catalog import CATALOG, CATALOG_NAMES
 from .dsl import (
     PRIMITIVE_PARAMS,
@@ -112,8 +111,3 @@ def materialize_workload(
     if scenario is not None:
         return ScenarioSpec.from_dict(scenario).build(seed)
     return TraceSpec.from_dict(trace).build(seed)
-
-
-def workload_display_names() -> Tuple[str, ...]:
-    """Builtin benchmarks plus catalog scenarios (CLI listings)."""
-    return tuple(BENCHMARK_NAMES) + CATALOG_NAMES

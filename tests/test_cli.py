@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 import pathlib
 import re
 
@@ -107,6 +108,22 @@ class TestCLI:
         resumed = capsys.readouterr()
         assert resumed.out == cold
         assert re.search(r"engine: .*resumed=[1-9]", resumed.err)
+
+    def test_run_export_matches_the_engine_run(self, capsys, tmp_path):
+        """``--trace-out`` runs the same job in-process with an observer
+        attached: its ``--json`` payload equals an uncached engine run
+        of that job, and the JSONL trace holds events."""
+        args = [
+            "run", "--scenario", "stride-flip", "--instructions", "3000",
+            "--warmup", "500", "--json",
+        ]
+        capsys.readouterr()
+        assert main(args + ["--no-cache"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        trace = tmp_path / "t.jsonl"
+        assert main(args + ["--trace-out", str(trace)]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
+        assert trace.read_text().strip()
 
     def test_unknown_workload_rejected(self, capsys):
         # Free-form refs (scenario:/trace:) mean the parser cannot use

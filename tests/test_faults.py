@@ -432,39 +432,50 @@ class TestIsolation:
         assert "errors (1 workload failure isolated" in rendered
         assert "injected crash" in rendered
 
-    def test_transient_error_retried_once(self):
+    # The engine's worker is the one failure-isolation wrapper: every
+    # figure, sweep and traced export runs each job through it.
+    @staticmethod
+    def _isolated(monkeypatch, execute):
+        from repro.harness import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_execute_job", execute)
+        return engine_mod._worker(engine_mod.make_job("mcf"))
+
+    def test_transient_error_retried_once(self, monkeypatch):
         calls = []
 
-        def flaky():
+        def flaky(job, *args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
                 raise SimulationStallError("wall-time blip")
-            return "ok"
+            return "ok", 0.0, None
 
-        errors = []
-        assert experiments.run_isolated(errors, "mcf", flaky) == "ok"
+        outcome = self._isolated(monkeypatch, flaky)
+        assert outcome.result == "ok"
         assert len(calls) == 2
-        assert errors == []
+        assert outcome.error is None
 
-    def test_transient_error_recorded_after_second_failure(self):
-        def always_stalls():
+    def test_transient_error_recorded_after_second_failure(
+        self, monkeypatch
+    ):
+        def always_stalls(job, *args, **kwargs):
             raise SimulationStallError("stuck")
 
-        errors = []
-        assert experiments.run_isolated(errors, "mcf", always_stalls) is None
-        assert errors[0]["retried"] is True
+        outcome = self._isolated(monkeypatch, always_stalls)
+        assert outcome.result is None
+        assert outcome.error["retried"] is True
 
-    def test_non_transient_error_not_retried(self):
+    def test_non_transient_error_not_retried(self, monkeypatch):
         calls = []
 
-        def broken():
+        def broken(job, *args, **kwargs):
             calls.append(1)
             raise ValueError("bad input")
 
-        errors = []
-        assert experiments.run_isolated(errors, "mcf", broken) is None
+        outcome = self._isolated(monkeypatch, broken)
+        assert outcome.result is None
         assert len(calls) == 1
-        assert "retried" not in errors[0]
+        assert "retried" not in outcome.error
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,14 @@ class TestResolvePolicy:
         assert PrefetchPolicy.HW_ONLY.value in str(exc.value)
         assert "ghb_delta" in str(exc.value)
 
+    def test_conflicting_hw_prefetcher_rejected_on_both_paths(self):
+        from repro.harness.engine import make_job
+        from repro.harness.runner import run_simulation
+
+        for build in (make_job, run_simulation):
+            with pytest.raises(ConfigError, match="conflicts with"):
+                build("mcf", policy="ghb_delta", hw_prefetcher="triangel")
+
     def test_labels(self):
         assert policy_label(PrefetchPolicy.BASIC, None) == "basic"
         assert policy_label(PrefetchPolicy.HW_ONLY, "triangel") == "triangel"

@@ -68,11 +68,12 @@ ZOO_POLICIES = tuple(zoo_names())
 ZOO_WORKLOADS = ("mcf", "stride-flip")
 
 
-def workload_arg(name: str, seed: int = SEED):
-    """Resolve a grid entry: catalog scenarios compile to Workload
-    objects, builtin names pass through to the registry."""
+def workload_arg(name: str, seed: int = SEED) -> str:
+    """The ``run_simulation`` reference for a grid entry: catalog
+    scenarios as ``scenario:<name>``, builtin names as they are.  The
+    seed travels in ``run_simulation``'s own ``seed`` argument."""
     if name in CATALOG:
-        return CATALOG[name].build(seed)
+        return f"scenario:{name}"
     return name
 
 
