@@ -76,7 +76,7 @@ from ..workloads.registry import shared_workload
 
 #: Bumped whenever the frame layout or the pickled object graph changes
 #: incompatibly; part of the header, checked on load.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Frame magic ("RePro ChecKpoint").
 MAGIC = b"RPCK"

@@ -1,6 +1,6 @@
 """Memory-system substrate: data memory, caches, hierarchy, statistics."""
 
-from .cache import CacheLine, SetAssociativeCache
+from .cache import SetAssociativeCache
 from .hierarchy import MemoryHierarchy
 from .mainmem import HEAP_BASE, WORD_SIZE, DataMemory, HeapAllocator
 from .stats import (
@@ -11,7 +11,6 @@ from .stats import (
 )
 
 __all__ = [
-    "CacheLine",
     "DataMemory",
     "HEAP_BASE",
     "HeapAllocator",

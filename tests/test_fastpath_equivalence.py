@@ -171,8 +171,8 @@ class TestChunkedRuns:
             "stats": dataclasses.asdict(core.stats),
             "mem_stats": dataclasses.asdict(hierarchy.stats),
             "l1_lines": sorted(
-                line for bucket in hierarchy.l1._sets.values()
-                for line in bucket
+                (block, meta) for bucket in hierarchy.l1._sets.values()
+                for block, meta in bucket.items()
             ),
             "unmapped_reads": memory.unmapped_reads,
         }
