@@ -17,8 +17,8 @@ specs and satisfies each one in one of three ways, proven equivalent by
   stream results back as they finish and reclaim crashed or hung
   workers; outcomes land at their submission index, so output never
   depends on completion order.  Chains that share a workload image are
-  packed into at most one unit per worker, so a worker builds the image
-  once for all of its chains;
+  packed into one unit, split only to fill the last round of workers,
+  so a sweep builds each image about once;
 * **cached** — a :class:`~repro.harness.cache.ResultCache` hit replays
   the stored ``SimulationResult.to_dict()`` without simulating at all.
 
@@ -46,7 +46,9 @@ import enum
 import gc
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..config import (
     MachineConfig,
@@ -843,13 +845,17 @@ class ExperimentEngine:
 
         A worker process runs one unit, and its registry memo starts
         empty, so every unit builds the workload image it starts from.
-        The chains that share a builtin image, ``(workload, seed)``, are
-        therefore dealt round-robin into at most ``workers`` units, each
-        chain whole and in budget order: an image shared by ``k`` chains
-        is built ``min(k, workers)`` times, in parallel workers, instead
-        of ``k`` times.  Images load in first-appearance order.  Scenario
-        and trace jobs rebuild their workload per job, so their chains
-        stay one unit each.
+        Each builtin image, ``(workload, seed)``, therefore starts as
+        one unit holding all of its chains, each whole and in budget
+        order, in first-appearance order.  Scenario and trace jobs
+        rebuild their workload per job, so their chains stay one unit
+        each.  An image is split only to fill the last round of workers:
+        the unit count is rounded up to a multiple of ``workers`` (at
+        most one unit per chain), each extra unit going to the image
+        with the most pending instructions per unit that still has more
+        chains than units (ties to the earlier image), whose chains are
+        dealt round-robin.  Units come back largest first by pending
+        instructions, ties in order.
         """
         groups: Dict[object, List[List[int]]] = {}
         for chain in self._chains(jobs, pending):
@@ -859,15 +865,30 @@ class ExperimentEngine:
                 if job.source == "builtin" else chain[0]
             )
             groups.setdefault(image, []).append(chain)
+        images = list(groups.values())
+
+        def work(indexes: Iterable[int]) -> int:
+            return sum(jobs[index].total_budget() for index in indexes)
+
+        totals = [work(i for chain in group for i in chain)
+                  for group in images]
+        splits = [1] * len(images)
+        rounds = -(-len(images) // self.workers)
+        target = min(sum(map(len, images)), rounds * self.workers)
+        for _ in range(target - len(images)):
+            pick = max(
+                (i for i, group in enumerate(images)
+                 if len(group) > splits[i]),
+                key=lambda i: totals[i] / splits[i],
+            )
+            splits[pick] += 1
         units: List[List[int]] = []
-        for group in groups.values():
-            packed: List[List[int]] = [
-                [] for _ in range(min(len(group), self.workers))
-            ]
+        for group, count in zip(images, splits):
+            packed: List[List[int]] = [[] for _ in range(count)]
             for position, chain in enumerate(group):
-                packed[position % len(packed)].extend(chain)
+                packed[position % count].extend(chain)
             units.extend(packed)
-        return units
+        return sorted(units, key=work, reverse=True)
 
     def _run_supervised(
         self,

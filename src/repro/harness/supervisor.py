@@ -8,11 +8,12 @@ jobs of a chain, and it serves well-behaved sweeps through the same
 code:
 
 * each dispatch is its **own process** holding one unit — a chain of
-  same-prefix jobs, or several chains the engine packed together
-  because they start from one workload image — reporting per-job
-  results over a pipe as they complete, so a crash after job k of n
-  loses at most job k+1's attempt (k results are already committed
-  parent-side);
+  same-prefix jobs, or the chains the engine packed together because
+  they start from one workload image — reporting per-job results over
+  a pipe as they complete, so a crash after job k of n loses at most
+  job k+1's attempt (k results are already committed parent-side).
+  Units launch in the order given; the engine gives them largest
+  first;
 * a daemon thread in the worker sends **heartbeats**; the parent tracks
   liveness and exposes it as fleet-health gauges;
 * every job runs under a **wall-time lease**.  A worker that holds a
