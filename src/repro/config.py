@@ -160,6 +160,14 @@ class CacheConfig:
     latency: int
     line_size: int = 64
 
+    def __post_init__(self) -> None:
+        line = self.line_size
+        if not isinstance(line, int) or line <= 0 or line & (line - 1):
+            raise ConfigError(
+                f"cache line size must be a positive power of two, "
+                f"got {line!r}"
+            )
+
     @property
     def num_sets(self) -> int:
         sets = self.size_bytes // (self.line_size * self.associativity)

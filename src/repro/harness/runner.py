@@ -219,13 +219,11 @@ class Simulation:
                 from ..hwprefetch.zoo import build_prefetcher
 
                 self.hierarchy.stream_prefetcher = build_prefetcher(
-                    self.config.hw_prefetcher, machine, self.hierarchy
+                    self.config.hw_prefetcher, self.hierarchy
                 )
             else:
                 self.hierarchy.stream_prefetcher = StreamBufferPrefetcher(
-                    machine.stream_buffers,
-                    self.hierarchy,
-                    line_size=machine.line_size,
+                    machine.stream_buffers, self.hierarchy
                 )
 
         self.runtime: Optional[TridentRuntime] = None

@@ -40,13 +40,12 @@ class AdaptiveNextLinePrefetcher:
     def __init__(
         self,
         hierarchy,
-        line_size: int = 64,
         stats_window: int = STATS_WINDOW,
         best_window: int = BEST_WINDOW,
         max_degree: int = DEGREE_MAX,
     ) -> None:
         self.hierarchy = hierarchy
-        self.line_size = line_size
+        self.line_size = hierarchy.l1.line_size
         self.stats_window = stats_window
         self.best_window = best_window
         self.max_degree = max_degree

@@ -52,13 +52,12 @@ class GHBPrefetcher:
     def __init__(
         self,
         hierarchy,
-        line_size: int = 64,
         ghb_size: int = GHB_SIZE,
         degree: int = DEGREE_DEFAULT,
         calibration_interval: int = CALIBRATION_INTERVAL,
     ) -> None:
         self.hierarchy = hierarchy
-        self.line_size = line_size
+        self.line_size = hierarchy.l1.line_size
         self.ghb_size = ghb_size
         self.degree = degree
         self.calibration_interval = calibration_interval

@@ -42,13 +42,12 @@ class PhaseReconfigPrefetcher:
     def __init__(
         self,
         hierarchy,
-        line_size: int = 64,
         epoch_loads: int = EPOCH_LOADS,
         depths: tuple = DEPTHS,
         stride_entries: int = STRIDE_ENTRIES,
     ) -> None:
         self.hierarchy = hierarchy
-        self.line_size = line_size
+        self.line_size = hierarchy.l1.line_size
         self.epoch_loads = epoch_loads
         self.depths = tuple(depths)
 

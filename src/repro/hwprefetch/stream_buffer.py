@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..config import StreamBufferConfig
-from ..errors import ConfigError
 from ..memory.stats import PrefetchSource
 from .markov import MarkovPredictor
 from .stride_predictor import StridePredictor, _StrideEntry
@@ -54,20 +53,9 @@ class _StreamBuffer:
 class StreamBufferPrefetcher:
     """N×M stream buffers with confidence-gated allocation."""
 
-    def __init__(
-        self,
-        config: StreamBufferConfig,
-        hierarchy,
-        line_size: int = 64,
-    ) -> None:
-        if line_size != hierarchy.l1.line_size:
-            raise ConfigError(
-                f"stream buffers need the L1 line size "
-                f"({hierarchy.l1.line_size}), got {line_size}"
-            )
+    def __init__(self, config: StreamBufferConfig, hierarchy) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        self.line_size = line_size
         self.predictor = StridePredictor(config.history_table_entries)
         self.markov: Optional[MarkovPredictor] = (
             MarkovPredictor(config.markov_entries)
@@ -77,10 +65,9 @@ class StreamBufferPrefetcher:
         self._buffers: List[Optional[_StreamBuffer]] = [
             None for _ in range(config.num_buffers)
         ]
-        # Power-of-two line sizes (the common case) get mask arithmetic
-        # on the per-load hot path; identical values to the %-based form.
-        self._pow2 = line_size > 0 and (line_size & (line_size - 1)) == 0
-        self._block_mask = ~(line_size - 1)
+        # The L1's block mask, so buffer, ``_pending`` and L1 blocks are
+        # the same numbers.
+        self._block_mask = hierarchy.l1._block_mask
         #: block address -> owning buffer, for O(1) demand probes.
         self._block_map: Dict[int, _StreamBuffer] = {}
         self._clock = 0
@@ -104,22 +91,20 @@ class StreamBufferPrefetcher:
         hierarchy = self.hierarchy
         pending = hierarchy._pending
         l1 = hierarchy.l1
-        l1_sets, l1_pow2 = l1._sets, l1._pow2
-        line_shift, set_mask = l1._line_shift, l1._set_mask
-        pow2, block_mask, line = self._pow2, self._block_mask, self.line_size
+        l1_sets, line_shift, num_sets = l1._sets, l1._line_shift, l1.num_sets
+        block_mask = self._block_mask
         block_map = self._block_map
         markov = self.markov if buffer.markov else None
         stride = buffer.stride
         addr = buffer.next_addr
         probes = _PROBE_LIMIT
         while room > 0 and probes and addr is not None:
-            block = addr & block_mask if pow2 else addr - addr % line
+            block = addr & block_mask
             probe = addr
             addr = addr + stride if markov is None else markov.predict(block)
             if (
                 block in blocks or block in block_map or block in pending
-                or (block in l1_sets.get((block >> line_shift) & set_mask, ())
-                    if l1_pow2 else l1.contains(block))
+                or block in l1_sets.get((block >> line_shift) % num_sets, ())
             ):
                 probes -= 1
                 continue
@@ -156,10 +141,7 @@ class StreamBufferPrefetcher:
             entry.tag, entry.stride, entry.confidence = pc, 0, 0
             entry.valid = True
         entry.last_addr = addr
-        block = (
-            addr & self._block_mask if self._pow2
-            else addr - addr % self.line_size
-        )
+        block = addr & self._block_mask
         buffer = self._block_map.get(block)
         if buffer is not None:
             # The demand stream caught up with this buffer — whether the

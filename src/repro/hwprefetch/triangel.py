@@ -44,13 +44,12 @@ class TriangelPrefetcher:
     def __init__(
         self,
         hierarchy,
-        line_size: int = 64,
         table_entries: int = TABLE_ENTRIES,
         training_entries: int = TRAINING_ENTRIES,
         chain_depth: int = CHAIN_DEPTH,
     ) -> None:
         self.hierarchy = hierarchy
-        self.line_size = line_size
+        self.line_size = hierarchy.l1.line_size
         self.table_entries = table_entries
         self.training_entries = training_entries
         self.chain_depth = chain_depth

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from ..config import MachineConfig, PrefetchPolicy
+from ..config import PrefetchPolicy
 from ..errors import ConfigError
 from .adaptive_nextline import AdaptiveNextLinePrefetcher
 from .ghb import GHBPrefetcher
@@ -56,9 +56,9 @@ class ZooEntry:
     #: Tunable -> default value; documentation of the config surface,
     #: asserted against each builder's keyword defaults by the tests.
     schema: Dict[str, object] = field(default_factory=dict)
-    #: ``build(machine, hierarchy) -> prefetcher`` (duck-typed; see
-    #: module docstring for the required surface).
-    build: Callable[[MachineConfig, object], object] = None
+    #: ``build(hierarchy) -> prefetcher`` (duck-typed; see module
+    #: docstring for the required surface).
+    build: Callable[[object], object] = None
 
 
 _REGISTRY: Dict[str, ZooEntry] = {}
@@ -95,10 +95,11 @@ def get_entry(name: str) -> ZooEntry:
         ) from None
 
 
-def build_prefetcher(name: str, machine: MachineConfig, hierarchy):
+def build_prefetcher(name: str, hierarchy):
     """Construct the named engine against a hierarchy (the
-    :class:`~repro.harness.runner.Simulation` construction seam)."""
-    return get_entry(name).build(machine, hierarchy)
+    :class:`~repro.harness.runner.Simulation` construction seam).
+    Engines read their line size from ``hierarchy.l1``."""
+    return get_entry(name).build(hierarchy)
 
 
 def resolve_policy(value) -> Tuple[PrefetchPolicy, Optional[str]]:
@@ -150,9 +151,7 @@ register(ZooEntry(
         "degree": 2,
         "calibration_interval": 2048,
     },
-    build=lambda machine, hierarchy: GHBPrefetcher(
-        hierarchy, line_size=machine.line_size
-    ),
+    build=GHBPrefetcher,
 ))
 
 register(ZooEntry(
@@ -171,9 +170,7 @@ register(ZooEntry(
         "best_window": 8192,
         "max_degree": 4,
     },
-    build=lambda machine, hierarchy: AdaptiveNextLinePrefetcher(
-        hierarchy, line_size=machine.line_size
-    ),
+    build=AdaptiveNextLinePrefetcher,
 ))
 
 register(ZooEntry(
@@ -189,9 +186,7 @@ register(ZooEntry(
         "training_entries": 512,
         "chain_depth": 2,
     },
-    build=lambda machine, hierarchy: TriangelPrefetcher(
-        hierarchy, line_size=machine.line_size
-    ),
+    build=TriangelPrefetcher,
 ))
 
 register(ZooEntry(
@@ -210,7 +205,5 @@ register(ZooEntry(
         "depths": (0, 1, 2, 4, 6),
         "stride_entries": 256,
     },
-    build=lambda machine, hierarchy: PhaseReconfigPrefetcher(
-        hierarchy, line_size=machine.line_size
-    ),
+    build=PhaseReconfigPrefetcher,
 ))

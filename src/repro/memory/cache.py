@@ -1,12 +1,18 @@
 """Set-associative cache with LRU replacement and prefetch metadata.
 
+The cache owns line geometry.  A line size must be a power of two
+(``CacheConfig`` checks it); the set count need not be.  A block is
+``addr & _block_mask`` and its set is ``(block >> _line_shift) %
+num_sets``, and the hierarchy and stream buffers use the L1's fields for
+their own block arithmetic.
+
 Each set is an ``OrderedDict`` of block address -> one metadata byte,
 least recently used first.  The byte exists purely for the paper's
 Figure 6 accounting: ``0`` for a demand line, ``PREFETCHED |
 SOURCE_CODE[source]`` for a line a prefetch installed and no demand load
 has touched yet, so the first demand touch can be classified
-*Hit-prefetched* (a touching ``lookup``, or the hierarchy's inlined L1
-hit, then writes ``0`` in place; a store hit leaves the byte alone).  When a
+*Hit-prefetched* (``lookup``, or the hierarchy's inlined L1 hit, then
+writes ``0`` in place; a store hit leaves the byte alone).  When a
 prefetch install evicts a line, the victim's block address is logged,
 so a later miss on that block can be classified *Miss due to
 prefetching*.
@@ -40,19 +46,10 @@ class SetAssociativeCache:
         self.name = name
         self.num_sets = config.num_sets
         self.line_size = config.line_size
-        # Power-of-two geometry (the common case) lets the hot paths use
-        # mask/shift arithmetic — identical values to the %-based math
-        # for every int, including negatives (Python's // and % floor,
-        # and so do >> and &-with-mask on two's-complement bigints).
-        line = self.line_size
-        nsets = self.num_sets
-        self._pow2 = (
-            line > 0 and (line & (line - 1)) == 0
-            and nsets > 0 and (nsets & (nsets - 1)) == 0
-        )
-        self._block_mask = ~(line - 1)
-        self._line_shift = line.bit_length() - 1
-        self._set_mask = nsets - 1
+        # The one block/set rule (module docstring); the hierarchy and
+        # the stream buffers read the L1's copies.
+        self._block_mask = ~(self.line_size - 1)
+        self._line_shift = self.line_size.bit_length() - 1
         # set index -> OrderedDict[block -> metadata byte]; last item
         # is MRU.
         self._sets: Dict[int, OrderedDict] = {}
@@ -68,15 +65,15 @@ class SetAssociativeCache:
     # lines; pickled set by set they dominate snapshot capture time.  The
     # packed form is four bytes objects for the whole level: set indices,
     # per-set line counts, blocks in LRU order and their metadata bytes.
-    # Empty buckets are dropped and sets are sorted by index: both are
-    # behaviourally invisible (``install`` recreates buckets on demand,
-    # nothing iterates ``_sets`` in an order-sensitive way) and make the
-    # bytes canonical across different histories.
+    # Sets are sorted by index: nothing iterates ``_sets`` in an
+    # order-sensitive way, and it makes the bytes canonical across
+    # different histories.  No bucket is ever empty (lines leave a set
+    # only by eviction, which makes room for one, or by ``flush``).
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = dict(self.__dict__)
         sets = self._sets
-        indices = sorted(index for index, bucket in sets.items() if bucket)
+        indices = sorted(sets)
         buckets = [sets[index] for index in indices]
         state["_sets"] = (
             array("q", indices).tobytes(),
@@ -110,52 +107,35 @@ class SetAssociativeCache:
 
     # ------------------------------------------------------------------
     def block_of(self, addr: int) -> int:
-        if self._pow2:
-            return addr & self._block_mask
-        return addr - (addr % self.line_size)
-
-    def _set_index(self, block: int) -> int:
-        if self._pow2:
-            return (block >> self._line_shift) & self._set_mask
-        return (block // self.line_size) % self.num_sets
+        return addr & self._block_mask
 
     # ------------------------------------------------------------------
-    def lookup(self, addr: int, touch: bool = True) -> Optional[int]:
+    def lookup(self, addr: int) -> Optional[int]:
         """Return the metadata byte of the line holding ``addr`` (None on
         a miss), updating LRU and hit counters.
 
-        A touching lookup is a demand load's: it also clears the byte of
-        a prefetched line in place (its first demand touch), which keeps
-        the line's LRU position.  With ``touch=False`` the lookup is a
-        pure probe: no LRU update, no counter or byte change.
+        A lookup is a demand load's: it also clears the byte of a
+        prefetched line in place (its first demand touch), which keeps
+        the line's LRU position.  ``contains`` is the side-effect-free
+        probe.
         """
-        if self._pow2:
-            block = addr & self._block_mask
-            index = (block >> self._line_shift) & self._set_mask
-        else:
-            block = addr - (addr % self.line_size)
-            index = (block // self.line_size) % self.num_sets
+        block = addr & self._block_mask
+        index = (block >> self._line_shift) % self.num_sets
         bucket = self._sets.get(index)
         meta = bucket.get(block) if bucket is not None else None
         if meta is None:
-            if touch:
-                self.misses += 1
+            self.misses += 1
             return None
-        if touch:
-            self.hits += 1
-            bucket.move_to_end(block)
-            if meta:
-                bucket[block] = 0
+        self.hits += 1
+        bucket.move_to_end(block)
+        if meta:
+            bucket[block] = 0
         return meta
 
     def contains(self, addr: int) -> bool:
         """Pure membership probe, no side effects."""
-        if self._pow2:
-            block = addr & self._block_mask
-            index = (block >> self._line_shift) & self._set_mask
-        else:
-            block = addr - (addr % self.line_size)
-            index = (block // self.line_size) % self.num_sets
+        block = addr & self._block_mask
+        index = (block >> self._line_shift) % self.num_sets
         bucket = self._sets.get(index)
         return bucket is not None and block in bucket
 
@@ -171,12 +151,8 @@ class SetAssociativeCache:
         alone (a prefetch of a resident line is useless and changes
         nothing).
         """
-        if self._pow2:
-            block = addr & self._block_mask
-            index = (block >> self._line_shift) & self._set_mask
-        else:
-            block = addr - (addr % self.line_size)
-            index = (block // self.line_size) % self.num_sets
+        block = addr & self._block_mask
+        index = (block >> self._line_shift) % self.num_sets
         bucket = self._sets.get(index)
         if bucket is None:
             bucket = self._sets[index] = OrderedDict()
@@ -201,12 +177,6 @@ class SetAssociativeCache:
         self._sets.clear()
         self._displaced_by_prefetch.clear()
         return dropped
-
-    def invalidate(self, addr: int) -> bool:
-        """Drop the block containing ``addr``; True if it was present."""
-        block = self.block_of(addr)
-        bucket = self._sets.get(self._set_index(block), {})
-        return bucket.pop(block, None) is not None
 
     # ------------------------------------------------------------------
     # Figure-6 displacement bookkeeping.

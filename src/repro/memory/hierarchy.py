@@ -96,13 +96,6 @@ class MemoryHierarchy:
         self._pending_heap: List[Tuple[int, int]] = []
         self._bus_free = 0
 
-        # Block arithmetic, precomputed from the L1 geometry so the hot
-        # paths don't bounce through two method calls per access.
-        line = config.l1.line_size
-        self._line_size = line
-        self._pow2 = line > 0 and (line & (line - 1)) == 0
-        self._block_mask = ~(line - 1)
-
         # L1-hit outcomes are value objects with a handful of distinct
         # values; interning them saves a frozen-dataclass construction
         # (four object.__setattr__ calls) on the most common load path.
@@ -153,9 +146,7 @@ class MemoryHierarchy:
     # Fill plumbing.
     # ------------------------------------------------------------------
     def block_of(self, addr: int) -> int:
-        if self._pow2:
-            return addr & self._block_mask
-        return addr - (addr % self._line_size)
+        return addr & self.l1._block_mask
 
     def start_fill(
         self,
@@ -251,17 +242,6 @@ class MemoryHierarchy:
             source=fill.source if untouched_prefetch else None,
         )
 
-    def flush_pending(self) -> None:
-        """Complete every outstanding fill (end-of-simulation cleanup)."""
-        for fill in list(self._pending.values()):
-            self._install(fill)
-        self._pending.clear()
-        self._pending_heap.clear()
-
-    @property
-    def outstanding_fills(self) -> int:
-        return len(self._pending)
-
     def flush_caches(self, levels: Tuple[str, ...] = ("l1", "l2", "l3")) -> int:
         """Invalidate every line in the named levels (fault injection's
         context-switch model); returns the number of lines dropped.
@@ -292,12 +272,8 @@ class MemoryHierarchy:
         if heap and heap[0][0] <= cycle:
             self.drain(cycle)
         l1 = self.l1
-        if l1._pow2:
-            block = addr & l1._block_mask
-            bucket = l1._sets.get((block >> l1._line_shift) & l1._set_mask)
-        else:
-            block = addr - addr % l1.line_size
-            bucket = l1._sets.get((block // l1.line_size) % l1.num_sets)
+        block = addr & l1._block_mask
+        bucket = l1._sets.get((block >> l1._line_shift) % l1.num_sets)
         meta = bucket.get(block) if bucket is not None else None
         if meta is not None:
             l1.hits += 1
@@ -386,12 +362,8 @@ class MemoryHierarchy:
             self.drain(cycle)
         self.stats.stores += 1
         l1 = self.l1
-        if l1._pow2:
-            block = addr & l1._block_mask
-            bucket = l1._sets.get((block >> l1._line_shift) & l1._set_mask)
-        else:
-            block = addr - addr % l1.line_size
-            bucket = l1._sets.get((block // l1.line_size) % l1.num_sets)
+        block = addr & l1._block_mask
+        bucket = l1._sets.get((block >> l1._line_shift) % l1.num_sets)
         if bucket is not None and block in bucket:
             l1.hits += 1
             bucket.move_to_end(block)
@@ -413,14 +385,11 @@ class MemoryHierarchy:
         stats = self.stats
         stats.software_prefetches_issued += 1
         l1 = self.l1
-        if l1._pow2:
-            block = addr & l1._block_mask
-            index = (block >> l1._line_shift) & l1._set_mask
-            resident = block in l1._sets.get(index, ())
-        else:
-            block = self.block_of(addr)
-            resident = l1.contains(addr)
-        if resident or block in self._pending:
+        block = addr & l1._block_mask
+        if (
+            block in l1._sets.get((block >> l1._line_shift) % l1.num_sets, ())
+            or block in self._pending
+        ):
             stats.software_prefetches_useless += 1
             return False
         self.start_fill(addr, cycle, prefetched=True, source=_SOFTWARE)

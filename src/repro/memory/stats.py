@@ -117,13 +117,6 @@ class MemoryStats:
     def total_loads(self) -> int:
         return sum(self.outcomes.values())
 
-    @property
-    def total_misses(self) -> int:
-        return (
-            self.outcomes[OutcomeKind.MISS]
-            + self.outcomes[OutcomeKind.MISS_DUE_TO_PREFETCH]
-        )
-
     def reset_measurement(self) -> None:
         """Zero every counter in place at the end of warmup.
 

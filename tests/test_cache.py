@@ -39,6 +39,23 @@ class TestGeometry:
         assert cache.block_of(64) == 64
         assert cache.block_of(130) == 128
 
+    @given(
+        st.integers(min_value=-(1 << 40), max_value=1 << 40),
+        st.sampled_from(((704, 2, 64), (3, 2, 64), (8, 4, 32), (1, 1, 128))),
+    )
+    @settings(max_examples=50)
+    def test_block_and_set_match_floor_division(self, addr, geometry):
+        """The mask/shift/modulo rule places every address, negative
+        ones and non-power-of-two set counts (section 5.4's 704-set L1)
+        included, where floor division does."""
+        cache = small_cache(*geometry)
+        line = cache.line_size
+        block = addr - addr % line
+        assert cache.block_of(addr) == block
+        cache.install(addr)
+        assert list(cache._sets) == [(block // line) % cache.num_sets]
+        assert cache.contains(block + line - 1)
+
 
 class TestLookupInstall:
     def test_miss_then_hit(self):
@@ -56,12 +73,16 @@ class TestLookupInstall:
         assert cache.lookup(0x13F) is not None
 
     def test_untouched_probe_has_no_side_effects(self):
-        cache = small_cache()
-        cache.install(0x100)
-        cache.lookup(0x200, touch=False)
-        assert cache.misses == 0
-        assert cache.contains(0x100)
+        cache = small_cache(sets=1, assoc=2)
+        cache.install(0, prefetched=True, source=PrefetchSource.SOFTWARE)
+        cache.install(64)
+        assert cache.contains(0)
         assert not cache.contains(0x200)
+        assert (cache.hits, cache.misses) == (0, 0)
+        # No LRU touch and no byte change.
+        assert list(cache._sets[0].items()) == [
+            (0, PREFETCHED | SOURCE_CODE[PrefetchSource.SOFTWARE]), (64, 0),
+        ]
 
     def test_lru_eviction_order(self):
         cache = small_cache(sets=1, assoc=2)
@@ -88,13 +109,6 @@ class TestLookupInstall:
         cache.install(64)
         assert cache.evictions == 1
 
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.install(0x100)
-        assert cache.invalidate(0x108)
-        assert not cache.contains(0x100)
-        assert not cache.invalidate(0x100)
-
     def test_resident_blocks(self):
         cache = small_cache()
         cache.install(0)
@@ -115,7 +129,8 @@ class TestPrefetchMetadata:
         cache = small_cache(sets=1, assoc=2)
         cache.install(0, prefetched=True, source=PrefetchSource.STREAM_BUFFER)
         cache.install(64)
-        assert cache.lookup(0, touch=False) & PREFETCHED  # a probe keeps it
+        assert cache.contains(0)                          # a probe keeps it
+        assert cache._sets[0][0] & PREFETCHED
         assert cache.lookup(0) & PREFETCHED               # the first touch
         assert cache.lookup(0) == 0                       # sees it cleared
         assert list(cache._sets[0].items()) == [(64, 0), (0, 0)]
@@ -158,8 +173,7 @@ def _line_table(cache):
 
 _cache_ops = st.lists(
     st.tuples(
-        st.sampled_from(("demand", "prefetch", "lookup", "probe",
-                         "invalidate")),
+        st.sampled_from(("demand", "prefetch", "lookup")),
         st.integers(min_value=0, max_value=1 << 14),
         st.sampled_from(tuple(SOURCE_CODE)),
     ),
@@ -180,15 +194,11 @@ class TestPackedState:
                 cache.install(addr)
             elif kind == "prefetch":
                 cache.install(addr, prefetched=True, source=source)
-            elif kind == "lookup":
-                cache.lookup(addr)
-            elif kind == "probe":
-                cache.lookup(addr, touch=False)
             else:
-                cache.invalidate(addr)
+                cache.lookup(addr)
         restored = pickle.loads(pickle.dumps(cache))
         # Sets come back sorted by index, each in LRU order with the
-        # same metadata bytes; empty sets are dropped.
+        # same metadata bytes; no set is empty.
         assert _line_table(restored) == sorted(_line_table(cache))
         assert all(restored._sets.values())
         assert list(restored._displaced_by_prefetch) == list(

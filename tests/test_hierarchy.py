@@ -128,14 +128,6 @@ class TestBusAndFills:
         # Independent lines, same cycle: the second fill waits for the bus.
         assert second.latency >= first.latency + hier.config.bus_transfer_cycles
 
-    def test_flush_pending_installs_everything(self, hier):
-        hier.load(1, 0x10000, 0)
-        hier.software_prefetch(0x20000, 0)
-        hier.flush_pending()
-        assert hier.outstanding_fills == 0
-        assert hier.l1.contains(0x10000)
-        assert hier.l1.contains(0x20000)
-
     def test_store_allocates_without_stall(self, hier):
         hier.store(0x10000, 0)
         out = hier.load(1, 0x10000, 1)

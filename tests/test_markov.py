@@ -111,7 +111,7 @@ class TestMarkovStreamBuffers:
         machine = MachineConfig()
         config = StreamBufferConfig(markov_entries=markov_entries)
         hier = MemoryHierarchy(machine)
-        sb = StreamBufferPrefetcher(config, hier, machine.line_size)
+        sb = StreamBufferPrefetcher(config, hier)
         hier.stream_prefetcher = sb
         return hier, sb
 

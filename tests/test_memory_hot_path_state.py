@@ -23,19 +23,17 @@ from repro.memory.stats import OutcomeKind, PrefetchSource
 
 HIERARCHY_ATTRS = [
     "config", "l1", "l2", "l3", "stats", "stream_prefetcher", "_pending",
-    "_pending_heap", "_bus_free", "_line_size", "_pow2", "_block_mask",
-    "_outcome_hit", "_outcome_hit_pf", "obs", "_m_load_latency",
+    "_pending_heap", "_bus_free", "_outcome_hit", "_outcome_hit_pf", "obs", "_m_load_latency",
     "_m_fills", "dram_latency_extra", "bus_occupancy_scale",
     "lines_flushed",
 ]
 CACHE_ATTRS = [
-    "config", "name", "num_sets", "line_size", "_pow2", "_block_mask",
-    "_line_shift", "_set_mask", "_sets", "_displaced_by_prefetch", "hits",
-    "misses", "evictions",
+    "config", "name", "num_sets", "line_size", "_block_mask", "_line_shift",
+    "_sets", "_displaced_by_prefetch", "hits", "misses", "evictions",
 ]
 STREAM_BUFFER_ATTRS = [
-    "config", "hierarchy", "line_size", "predictor", "markov", "_buffers",
-    "_pow2", "_block_mask", "_block_map", "_clock", "allocations",
+    "config", "hierarchy", "predictor", "markov", "_buffers", "_block_mask",
+    "_block_map", "_clock", "allocations",
     "stream_hits", "prefetches_issued",
 ]
 PREDICTOR_ATTRS = ["entries", "_table", "updates", "replacements"]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, MachineConfig
+from repro.errors import ConfigError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
     Opcode,
@@ -93,6 +94,18 @@ class TestCacheConfigVariants:
         a = CacheConfig(64 * 1024, 2, 3, line_size=64)
         b = CacheConfig(64 * 1024, 2, 3, line_size=128)
         assert a.num_sets == 2 * b.num_sets
+
+    def test_line_size_must_be_a_power_of_two(self):
+        # The cache's block and set arithmetic assumes it (memory/cache.py),
+        # so a bad size is refused where a config is built: directly, and
+        # from the dict form journals and job inputs carry.
+        for line in (0, 48, -64):
+            with pytest.raises(ConfigError, match="power of two"):
+                CacheConfig(64 * 1024, 2, 3, line_size=line)
+            raw = {"l1": {"size_bytes": 64 * 1024, "associativity": 2,
+                          "latency": 3, "line_size": line}}
+            with pytest.raises(ConfigError, match="power of two"):
+                MachineConfig.from_dict(raw)
 
 
 class TestRecordMultiPrefetchPatch:

@@ -79,7 +79,6 @@ class TestMemoryStats:
             )
         )
         assert stats.total_loads == 3
-        assert stats.total_misses == 1
         assert stats.fraction(OutcomeKind.HIT) == pytest.approx(1 / 3)
         breakdown = stats.breakdown()
         assert breakdown["hit_prefetched"] == pytest.approx(1 / 3)

@@ -158,6 +158,11 @@ class _ReferenceHierarchy(_RecordingHierarchy):
 class _ReferenceStreamBuffers(StreamBufferPrefetcher):
     """The per-probe stream buffers the fused ``_fill`` loop replaced."""
 
+    def __init__(self, config, hierarchy):
+        super().__init__(config, hierarchy)
+        self.line_size = LINE
+        self._pow2 = LINE > 0 and (LINE & (LINE - 1)) == 0
+
     def _block_of(self, addr):
         if self._pow2:
             return addr & self._block_mask
@@ -296,7 +301,7 @@ def _hierarchy_state(hier):
 
 def _build(hierarchy_cls, prefetcher_cls, machine, sb_config):
     hier = hierarchy_cls(machine)
-    hier.stream_prefetcher = prefetcher_cls(sb_config, hier, LINE)
+    hier.stream_prefetcher = prefetcher_cls(sb_config, hier)
     return hier
 
 

@@ -130,7 +130,6 @@ class TestStreamBuffers:
         sb = StreamBufferPrefetcher(
             StreamBufferConfig(num_buffers=num, entries_per_buffer=entries),
             hier,
-            line_size=64,
         )
         hier.stream_prefetcher = sb
         return hier, sb

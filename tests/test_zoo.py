@@ -11,6 +11,9 @@ asserted directly rather than only through end-to-end timing.
 
 from __future__ import annotations
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import MachineConfig, PrefetchPolicy
@@ -40,11 +43,13 @@ EXPECTED_NAMES = (
 
 
 class StubHierarchy:
-    """Records every hardware_prefetch request; accepts them all."""
+    """Records every hardware_prefetch request; accepts them all.  Its
+    ``l1`` carries the line size the engines read."""
 
     def __init__(self, accept: bool = True) -> None:
         self.requests = []
         self.accept = accept
+        self.l1 = SimpleNamespace(line_size=64)
 
     def hardware_prefetch(self, addr: int, cycle: int) -> bool:
         self.requests.append(addr)
@@ -72,7 +77,7 @@ class TestRegistry:
     def test_register_rejects_enum_collision(self):
         entry = ZooEntry(
             name=PrefetchPolicy.HW_ONLY.value, family="x",
-            description="", recipe="", build=lambda m, h: None,
+            description="", recipe="", build=lambda h: None,
         )
         with pytest.raises(ConfigError, match="collides"):
             register(entry)
@@ -89,25 +94,29 @@ class TestRegistry:
     def test_register_rejects_non_string_name(self):
         entry = ZooEntry(
             name=None, family="x", description="", recipe="",
-            build=lambda m, h: None,
+            build=lambda h: None,
         )
         with pytest.raises(ConfigError, match="string name"):
             register(entry)
 
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
     def test_builders_produce_hook_compatible_engines(self, name):
-        machine = MachineConfig()
-        prefetcher = build_prefetcher(name, machine, MemoryHierarchy(machine))
+        # A non-default L1 line size: engines must take the L1's.
+        base = MachineConfig()
+        machine = dataclasses.replace(
+            base, l1=dataclasses.replace(base.l1, line_size=128)
+        )
+        prefetcher = build_prefetcher(name, MemoryHierarchy(machine))
         assert callable(prefetcher.on_demand_load)
         assert prefetcher.prefetches_issued == 0
-        assert prefetcher.line_size == machine.line_size
+        assert prefetcher.line_size == 128
 
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
     def test_schema_matches_builder_defaults(self, name):
         """Every schema entry documents a real tunable: the built
         engine's actual defaults must agree."""
         entry = get_entry(name)
-        built = entry.build(MachineConfig(), StubHierarchy())
+        built = entry.build(StubHierarchy())
         for key, expected in entry.schema.items():
             if key == "stride_entries":  # lives on the inner predictor
                 actual = built.strides.entries
