@@ -18,13 +18,18 @@ both:
   bytes depend only on *values*, never on object identity accidents:
   every ``set``/``frozenset`` is reduced through sorted element lists
   (a restored set's iteration order differs from the original's
-  insertion order), and strings are never memoized — CPython interns
-  attribute names and literals, so equal strings are one shared object
-  in a freshly built graph but many distinct objects in an unpickled
-  one, and identity-keyed memoization would encode that difference into
-  the bytes.  (The simulation itself never iterates its persisted sets
-  in a timing-relevant order; the property tests hold capture
-  idempotence to byte equality.)
+  insertion order), and no string is shared by identity — CPython
+  interns attribute names and literals, so equal strings are one shared
+  object in a freshly built graph but many distinct objects in an
+  unpickled one, and identity-keyed memoization would encode that
+  difference into the bytes.  (The simulation itself never iterates its
+  persisted sets in a timing-relevant order; the property tests hold
+  capture idempotence to byte equality.)  :func:`capture` applies these
+  rules on the C pickler (:class:`_SnapshotPickler`, format 4): strings
+  travel as persistent ids of their UTF-8 bytes, and sets and packed
+  numeric bulk as persistent ids with identity tokens.
+  :func:`canonical_dumps` is the same canonical form written by the
+  pure-Python pickler, the reference the tests compare restores with.
 
 **A snapshot carries only the state its run created.**  A registry
 workload's memory image and :class:`Program` are built once per process
@@ -60,6 +65,7 @@ parse — truncation, garbage, stale stamps — raises
 from __future__ import annotations
 
 import array
+import copyreg
 import io
 import json
 import pickle
@@ -76,7 +82,7 @@ from ..workloads.registry import shared_workload
 
 #: Bumped whenever the frame layout or the pickled object graph changes
 #: incompatibly; part of the header, checked on load.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Frame magic ("RePro ChecKpoint").
 MAGIC = b"RPCK"
@@ -127,11 +133,70 @@ def _restore_int_float_dict(keys: bytes, values: bytes) -> dict:
     return dict(zip(array.array("q", keys), array.array("d", values)))
 
 
+def _sorted_set(obj):
+    """A set or frozenset as ``(its type, (sorted elements,))``."""
+    return type(obj), (_sorted_elements(obj),)
+
+
+def _packed_list(obj):
+    """``(rebuild, args)`` packing a list of ``_PACK_MIN`` or more exact
+    ints or exact floats through :mod:`array`; None for any other list."""
+    if len(obj) < _PACK_MIN:
+        return None
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        try:
+            packed = array.array("q", obj)
+        except OverflowError:
+            return None  # arbitrary-precision outlier: generic path
+        return _restore_int_list, (packed.tobytes(),)
+    if kinds == {float}:
+        return _restore_float_list, (array.array("d", obj).tobytes(),)
+    return None
+
+
+def _packed_dict(obj):
+    """``(rebuild, args)`` packing a dict of ``_PACK_MIN`` or more exact
+    int keys, all of its values exact ints or all exact floats, through
+    :mod:`array`; None for any other dict.
+
+    The dominant graph component is main memory: a plain dict of int
+    word address -> int/float word value, up to ~1M entries.
+    """
+    if len(obj) < _PACK_MIN or set(map(type, obj.keys())) != {int}:
+        return None
+    value_kinds = set(map(type, obj.values()))
+    if value_kinds == {int}:
+        rebuild, code = _restore_int_dict, "q"
+    elif value_kinds == {float}:
+        rebuild, code = _restore_int_float_dict, "d"
+    else:
+        return None
+    try:
+        keys = array.array("q", obj.keys()).tobytes()
+        values = array.array(code, obj.values()).tobytes()
+    except OverflowError:
+        return None  # arbitrary-precision outlier: generic path
+    return rebuild, (keys, values)
+
+
+#: Exact type -> its canonical ``(rebuild, args)`` form, or None where
+#: the object pickles natively: ``_SnapshotPickler`` looks the rules up
+#: here, ``_CanonicalPickler``'s save hooks call the same functions.
+_CANONICAL = {
+    set: _sorted_set,
+    frozenset: _sorted_set,
+    list: _packed_list,
+    dict: _packed_dict,
+}
+
+
 class _CanonicalPickler(pickle._Pickler):
     """Pickler producing identical bytes for equal object graphs.
 
-    Built on the pure-Python pickler because canonicalisation needs two
-    hooks the C pickler does not expose:
+    The reference canonical form, on the pure-Python pickler because it
+    overrides two of its save hooks (:class:`_SnapshotPickler` applies
+    the same rules on the C pickler through ``persistent_id``):
 
     * ``memoize`` is skipped for ``str``.  The memo is keyed on object
       identity, and equal strings do not have stable identity across a
@@ -151,7 +216,8 @@ class _CanonicalPickler(pickle._Pickler):
 
     The pure-Python walk would be slow on the multi-megabyte workload
     arrays, so exact-type homogeneous int/float lists of ``_PACK_MIN``
-    or more elements pack through :mod:`array` at C speed (host-endian:
+    or more elements, and int-keyed dicts of as many int or float
+    values, pack through :mod:`array` at C speed (host-endian:
     snapshots are same-machine artifacts, keyed by a local code-version
     stamp, never shipped across architectures).
     """
@@ -164,67 +230,26 @@ class _CanonicalPickler(pickle._Pickler):
         super().memoize(obj)
 
     def save_set(self, obj):
-        self.save_reduce(set, (_sorted_elements(obj),), obj=obj)
+        self.save_reduce(*_sorted_set(obj), obj=obj)
 
     dispatch[set] = save_set
-
-    def save_frozenset(self, obj):
-        self.save_reduce(frozenset, (_sorted_elements(obj),), obj=obj)
-
-    dispatch[frozenset] = save_frozenset
+    dispatch[frozenset] = save_set
 
     def save_list(self, obj):
-        if len(obj) >= _PACK_MIN:
-            kinds = set(map(type, obj))
-            if kinds == {int}:
-                try:
-                    packed = array.array("q", obj)
-                except OverflowError:
-                    pass  # arbitrary-precision outlier: generic path
-                else:
-                    self.save_reduce(
-                        _restore_int_list, (packed.tobytes(),), obj=obj
-                    )
-                    return
-            elif kinds == {float}:
-                packed = array.array("d", obj)
-                self.save_reduce(
-                    _restore_float_list, (packed.tobytes(),), obj=obj
-                )
-                return
-        pickle._Pickler.save_list(self, obj)
+        packed = _packed_list(obj)
+        if packed is None:
+            pickle._Pickler.save_list(self, obj)
+        else:
+            self.save_reduce(*packed, obj=obj)
 
     dispatch[list] = save_list
 
     def save_dict(self, obj):
-        # The dominant graph component is main memory: a plain dict of
-        # int word address -> int/float word value, up to ~1M entries.
-        if len(obj) >= _PACK_MIN and set(map(type, obj.keys())) == {int}:
-            value_kinds = set(map(type, obj.values()))
-            try:
-                if value_kinds == {int}:
-                    self.save_reduce(
-                        _restore_int_dict,
-                        (
-                            array.array("q", obj.keys()).tobytes(),
-                            array.array("q", obj.values()).tobytes(),
-                        ),
-                        obj=obj,
-                    )
-                    return
-                if value_kinds == {float}:
-                    self.save_reduce(
-                        _restore_int_float_dict,
-                        (
-                            array.array("q", obj.keys()).tobytes(),
-                            array.array("d", obj.values()).tobytes(),
-                        ),
-                        obj=obj,
-                    )
-                    return
-            except OverflowError:
-                pass  # arbitrary-precision outlier: generic path
-        pickle._Pickler.save_dict(self, obj)
+        packed = _packed_dict(obj)
+        if packed is None:
+            pickle._Pickler.save_dict(self, obj)
+        else:
+            self.save_reduce(*packed, obj=obj)
 
     dispatch[dict] = save_dict
 
@@ -269,46 +294,100 @@ def _restore_shared_program(key):
     return _shared(key).program
 
 
-class _SnapshotPickler(_CanonicalPickler):
-    """The canonical pickler, minus the workload the registry shares.
+def _shared_dispatch_table(key, built, digest):
+    """A pickler dispatch table that reduces a memory view of ``built``'s
+    image to ``(key, digest, own words, unmapped reads)`` and ``built``'s
+    :class:`Program` to ``key``; any other memory or program pickles in
+    full.  The reducers close over ``built``, not the pickler, so a
+    finished pickler (and its memo) is freed without waiting for the
+    cycle collector."""
+    image = built.memory.words()
+    program = built.program
+
+    def reduce_memory(memory):
+        if memory._image is image:
+            return _restore_shared_memory, (
+                key, digest, memory._words, memory.unmapped_reads,
+            )
+        return memory.__reduce_ex__(4)
+
+    def reduce_program(obj):
+        if obj is program:
+            return _restore_shared_program, (key,)
+        return obj.__reduce_ex__(4)
+
+    table = copyreg.dispatch_table.copy()
+    table[DataMemory] = reduce_memory
+    table[Program] = reduce_program
+    return table
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """The canonical rules on the C pickler, minus the shared workload.
+
+    The C pickler has no per-type save hooks, and it memoizes strings by
+    identity, but it asks ``persistent_id`` about every object before
+    anything else, so the rules ride there:
+
+    * A ``str`` becomes a persistent id of its UTF-8 bytes, a fresh
+      ``bytes`` object per occurrence (never shared through the memo by
+      identity), so equal strings give equal bytes whether or not they
+      are one object.  Restore decodes each one.
+    * A set, frozenset, or packable list or dict (:data:`_CANONICAL`)
+      becomes ``(token, rebuild, *args)`` the first time the walk meets
+      it and ``(token,)`` every time after, so an object shared in the
+      graph is one object after restore.  Tokens count such objects in
+      first-visit order, a pure function of the graph.  ``_tokens``
+      holds each one until the dump ends: ``__getstate__`` results are
+      temporaries, and a freed one's ``id`` could otherwise come back
+      as another object's.
 
     ``shared`` is the registry's ``(key, built workload, image digest)``
-    for the workload being captured.  A memory view whose image *is*
-    that workload's image reduces to ``(key, digest, own words,
-    unmapped reads)`` and the shared :class:`Program` to ``key``; both
-    resolve through the registry on load.  Everything else, including
-    any view of an image the memo has since dropped, pickles in full.
+    for the workload being captured; :func:`_shared_dispatch_table`
+    reduces its image views and program by key.
     """
-
-    dispatch = _CanonicalPickler.dispatch.copy()
 
     def __init__(self, file, shared=None):
         super().__init__(file, protocol=4)
-        self._shared = shared
-
-    def save_memory(self, obj):
-        shared = self._shared
+        self._tokens = {}
         if shared is not None:
-            key, built, digest = shared
-            if obj._image is built.memory.words():
-                self.save_reduce(
-                    _restore_shared_memory,
-                    (key, digest, obj._words, obj.unmapped_reads),
-                    obj=obj,
-                )
-                return
-        self.save_reduce(obj=obj, *obj.__reduce_ex__(self.proto))
+            self.dispatch_table = _shared_dispatch_table(*shared)
 
-    dispatch[DataMemory] = save_memory
+    def persistent_id(self, obj):
+        kind = type(obj)
+        if kind is str:
+            return obj.encode("utf-8", "surrogatepass")
+        canonical = _CANONICAL.get(kind)
+        if canonical is None:
+            return None
+        seen = self._tokens.get(id(obj))
+        if seen is not None:
+            return (seen[0],)
+        form = canonical(obj)
+        if form is None:
+            return None
+        token = len(self._tokens)
+        self._tokens[id(obj)] = (token, obj)
+        return (token, form[0], *form[1])
 
-    def save_program(self, obj):
-        shared = self._shared
-        if shared is not None and obj is shared[1].program:
-            self.save_reduce(_restore_shared_program, (shared[0],), obj=obj)
-            return
-        self.save_reduce(obj=obj, *obj.__reduce_ex__(self.proto))
 
-    dispatch[Program] = save_program
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Loads :class:`_SnapshotPickler` payloads: rebuilds each persistent
+    id's string or object, and resolves a repeated token to the object
+    its first occurrence rebuilt."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self._objects = {}
+
+    def persistent_load(self, pid):
+        if type(pid) is bytes:
+            return pid.decode("utf-8", "surrogatepass")
+        if len(pid) == 1:
+            return self._objects[pid[0]]
+        token, rebuild, *args = pid
+        obj = self._objects[token] = rebuild(*args)
+        return obj
 
 
 def _snapshot_dumps(sim) -> bytes:
@@ -451,7 +530,9 @@ def restore(snapshot: Snapshot):
             f"{code_version()[:12]}...)"
         )
     try:
-        sim = pickle.loads(zlib.decompress(snapshot.payload))
+        sim = _SnapshotUnpickler(
+            io.BytesIO(zlib.decompress(snapshot.payload))
+        ).load()
     except CheckpointError:
         raise
     except Exception as exc:

@@ -167,13 +167,21 @@ class CacheConfig:
                 f"cache line size must be a positive power of two, "
                 f"got {line!r}"
             )
+        ways = self.associativity
+        if not isinstance(ways, int) or ways < 1:
+            raise ConfigError(
+                f"cache associativity must be a positive integer, "
+                f"got {ways!r}"
+            )
+        if self.size_bytes < line * ways:
+            raise ConfigError(
+                f"cache of {self.size_bytes!r} bytes is too small for one "
+                f"set of {ways} {line}-byte lines"
+            )
 
     @property
     def num_sets(self) -> int:
-        sets = self.size_bytes // (self.line_size * self.associativity)
-        if sets <= 0:
-            raise ValueError("cache too small for its associativity")
-        return sets
+        return self.size_bytes // (self.line_size * self.associativity)
 
 
 @dataclass(frozen=True)

@@ -120,9 +120,12 @@ class GHBPrefetcher:
         key = (prev_delta, delta)
         match = self._index.get(key)
         self._index[key] = pos
-        if len(self._index) > self.ghb_size:
-            # The index only ever references live GHB positions; keep it
-            # the same order of size by dropping stale pairs wholesale.
+        if len(self._index) > 2 * self.ghb_size:
+            # A stale pair (one whose position scrolled out of the
+            # buffer) returns below exactly as a missing one does, so
+            # stale pairs are dropped wholesale only once the index is
+            # twice the buffer: at most ``ghb_size`` pairs are live, so
+            # each rebuild drops at least ``ghb_size`` stale ones.
             self._index = {
                 k: p
                 for k, p in self._index.items()

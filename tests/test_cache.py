@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.checkpoint.snapshot import _CanonicalPickler, canonical_dumps
 from repro.config import CacheConfig, MachineConfig
+from repro.errors import ConfigError
 from repro.memory.cache import PREFETCHED, SOURCE_CODE, SetAssociativeCache
 from repro.memory.stats import PrefetchSource
 
@@ -28,9 +29,20 @@ class TestGeometry:
         assert config.num_sets == 512
 
     def test_invalid_geometry_rejected(self):
-        config = CacheConfig(32, 2, 3, 64)
-        with pytest.raises(ValueError):
-            config.num_sets
+        """A level with no ways, or too small for one set, is refused
+        where the config is built, directly and from the dict form
+        journals and job inputs carry, not later by ``num_sets`` or the
+        cache built on it."""
+        for size, assoc in ((32, 2), (64, 2), (64 * 1024, 0), (64 * 1024, -2)):
+            with pytest.raises(ConfigError):
+                CacheConfig(size, assoc, 3, 64)
+            raw = {"l1": {"size_bytes": size, "associativity": assoc,
+                          "latency": 3}}
+            with pytest.raises(ConfigError):
+                MachineConfig.from_dict(raw)
+
+    def test_one_set_is_the_smallest_geometry(self):
+        assert CacheConfig(128, 2, 3, 64).num_sets == 1
 
     def test_block_alignment(self):
         cache = small_cache()
