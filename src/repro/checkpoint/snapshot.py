@@ -46,9 +46,10 @@ since dropped pickle in full.  :func:`canonical_dumps` never refers:
 it is the full canonical form.
 
 Volatile derived state is excluded by ``__getstate__`` hooks on its
-owners: the fast interpreter's compiled handler closures (``SMTCore``,
-``HotTrace._fast_cache``) are rebuilt on demand, and the watchdog's
-wall-clock deadline is re-armed on the next ``run`` call.
+owners: the fast interpreter's handler closures and generated trace
+functions (``SMTCore``, ``HotTrace._fast_cache``) are rebuilt on
+demand, and the watchdog's wall-clock deadline is re-armed on the next
+``run`` call.
 
 The on-disk container is a small framed format::
 
@@ -517,10 +518,9 @@ def restore(snapshot: Snapshot):
     Validates the code-version stamp (a snapshot from different sources
     is not just stale, it would *diverge*), unpickles the object graph
     (resolving a shared workload through the registry, which may build
-    it, and checking its image digest), and recompiles the one piece of
-    stripped derived state that cannot wait for lazy rebuild: the fast
-    interpreter's handler list for a trace that was mid-execution at
-    capture time.
+    it, and checking its image digest), and binds the fast interpreter's
+    generated run function for a trace that was mid-execution at capture
+    time.
     """
     stamp = snapshot.header.get("code_version")
     if stamp != code_version():
@@ -541,10 +541,5 @@ def restore(snapshot: Snapshot):
     if core is None:
         raise CheckpointError("checkpoint payload is not a Simulation")
     if core._trace is not None and core.fast:
-        from ..cpu.fastpath import compile_trace
-
-        trace = core._trace
-        handlers = compile_trace(core, trace)
-        trace._fast_cache = (trace.body, len(trace.body), handlers)
-        core._trace_handlers = handlers
+        core._trace_run = core._bind_trace(core._trace)
     return sim

@@ -143,23 +143,22 @@ class SMTCore:
 
         # Fast-path state: per-PC decoded handlers + basic-block run
         # lengths for the program (built lazily on the first run), and
-        # the handler list for the currently-executing trace.
+        # the generated run function of the currently-executing trace.
         self._fast_handlers = None
         self._fast_block_len = None
         self._fast_batches = None
-        self._trace_handlers = None
+        self._trace_run = None
 
     # ------------------------------------------------------------------
     # Checkpointing (repro.checkpoint): the fast-path caches are closures
     # over live component state and cannot (and need not) be pickled —
     # they are pure derived state, rebuilt lazily by the next run call
-    # (and eagerly for a mid-trace core by checkpoint.restore, which
-    # needs the handler list before the next step).
+    # (and eagerly for a mid-trace core by checkpoint.restore).
     _VOLATILE = (
         "_fast_handlers",
         "_fast_block_len",
         "_fast_batches",
-        "_trace_handlers",
+        "_trace_run",
     )
 
     def __getstate__(self):
@@ -322,6 +321,9 @@ class SMTCore:
         is not stalled (DESIGN.md §5c‴).  The guard is ``tick``'s own
         early-return test, read from live state on every step, so
         helper-thread dispatch and fault timing stay cycle-identical.
+        A linked trace runs as one call of its generated function
+        (``fastpath.compile_trace``), which runs the same sequence after
+        each of its instructions and returns the watchdog countdown.
         Without them, straight-line runs of pure-register instructions
         execute as a batch: no memory, branch, or hook can fire inside
         a batch, and the watchdog clamp below makes every
@@ -347,11 +349,17 @@ class SMTCore:
             if runtime is not None:
                 helper = runtime.helper
                 queued = runtime.events._queue
+            if self._trace is not None:
+                # A binding made before the injector or watchdog was
+                # attached (or none, after a plain unpickle) is stale.
+                self._trace_run = self._bind_trace(self._trace)
             while not ctx.halted and stats.committed < budget:
                 if self._trace is not None:
-                    self._trace_handlers[self._trace_idx]()
-                else:
-                    handlers[ctx.pc]()
+                    steps_until_check = self._trace_run(
+                        self._trace_idx, budget, steps_until_check
+                    )
+                    continue
+                handlers[ctx.pc]()
                 if runtime is not None:
                     clock = self._issue_clock
                     job = helper._job
@@ -425,22 +433,7 @@ class SMTCore:
         self._trace_idx = 0
         self._trace_entry_issue = self._issue_clock
         if self.fast:
-            # Decoded handlers are cached on the trace, keyed on
-            # body identity + length: derived traces are new
-            # objects (no stale cache), and in-place patches to
-            # prefetch displacements are read live by the handlers
-            # so they never invalidate the cache.
-            cached = getattr(trace, "_fast_cache", None)
-            if (
-                cached is not None
-                and cached[0] is trace.body
-                and cached[1] == len(trace.body)
-            ):
-                self._trace_handlers = cached[2]
-            else:
-                handlers = compile_trace(self, trace)
-                trace._fast_cache = (trace.body, len(trace.body), handlers)
-                self._trace_handlers = handlers
+            self._trace_run = self._bind_trace(trace)
         self.stats.trace_entries += 1
         obs = self.obs
         if obs is not None and trace.trace_id != self._obs_last_trace:
@@ -451,6 +444,32 @@ class SMTCore:
                 trace_id=trace.trace_id,
                 pc=pc,
             )
+
+    def _bind_trace(self, trace):
+        """The generated run function of ``trace`` on this core.
+
+        Cached on the trace, keyed on this core, the body's identity and
+        length, and the injector and watchdog it was generated for:
+        derived traces are new objects (no stale cache), and in-place
+        patches to prefetch displacements are read live by the code, so
+        they never invalidate it.
+        """
+        body = trace.body
+        injector = self.injector
+        watchdog = self.watchdog
+        cached = getattr(trace, "_fast_cache", None)
+        if (
+            cached is not None
+            and cached[0] is self
+            and cached[1] is body
+            and cached[2] == len(body)
+            and cached[3] is injector
+            and cached[4] is watchdog
+        ):
+            return cached[5]
+        run = compile_trace(self, trace)
+        trace._fast_cache = (self, body, len(body), injector, watchdog, run)
+        return run
 
     def _step_original(self) -> None:
         ctx = self.ctx

@@ -7,20 +7,36 @@ tests, chase ``self.X`` attributes, bounce through ``Executor.execute``,
 that execute the same few hundred static instructions millions of times,
 nearly all of that work is loop-invariant.
 
-This module compiles each static instruction **once** into a closure
-that performs the entire architectural + timing step — functional
-execute, issue, per-kind timing, retire, next-PC — with every
+This module compiles each static instruction of the program **once**
+into a closure that performs the entire architectural + timing step —
+functional execute, issue, per-kind timing, retire, next-PC — with every
 loop-invariant operand (register indices, displacement, branch target,
 latency, hierarchy methods, stat objects) pre-bound.  ``SMTCore`` then
 executes ``handlers[pc]()`` per step, or a straight ``for`` over a
 basic block of pure-register handlers when no runtime/injector needs
 per-step hooks.
 
-Correctness contract: every closure replicates the corresponding branch
-of ``SMTCore._step_original`` / ``_step_trace`` *exactly* — same float
-arithmetic in the same order, same stat-update order, same hook call
-sites — so slow and fast paths produce byte-identical
-``SimulationResult`` payloads.  ``tests/test_fastpath_equivalence.py``
+A linked hot trace is straight-line code, so it goes further: the whole
+body becomes ONE generated Python function (:func:`compile_trace`),
+with every operand a literal.  It runs from ``core._trace_idx`` until
+the trace completes, exits early, halts or the budget is committed, and
+after each instruction runs ``_run_fast``'s post-step sequence in its
+order: the ``runtime.tick`` guard, ``injector.tick`` when an injector
+is attached, then the watchdog countdown and ``check``.  Between hook
+calls the issue clock, fetch stall, ROB and load-queue cursors,
+completion max and the trace's ``CoreStats`` counters live in locals.
+They are written back (with the trace index) before every call that
+reads core state — ``_finish_trace``, ``_enter_trace``,
+``injector.tick``, ``watchdog.check`` — and at every return.  The
+helper's job, busy-until and stall cycles are locals too, re-read after
+``runtime.tick`` and ``injector.tick``, the only calls that change them.
+
+Correctness contract: every closure and every generated instruction
+replicates the corresponding branch of ``SMTCore._step_original`` /
+``_step_trace`` *exactly* — same float arithmetic in the same order,
+same stat-update order, same hook call sites — so slow and fast paths
+produce byte-identical ``SimulationResult`` payloads.
+``tests/test_fastpath_equivalence.py``, ``tests/test_trace_codegen.py``
 and the golden fixtures under ``tests/data/golden/`` enforce this.
 
 Mutability notes (why each capture is safe):
@@ -34,14 +50,18 @@ Mutability notes (why each capture is safe):
 * Hierarchy/memory *methods* are stable (fault injection mutates fields
   like ``dram_latency_extra``, never rebinds methods), so bound methods
   are captured.
-* ``PREFETCH`` handlers read ``inst.disp`` at call time: the
-  self-repairing optimizer patches prefetch displacements in place
-  (repro.core.repair), and a captured constant would silently undo
-  every repair.  All other instruction fields are immutable after
-  assembly and are captured.
+* ``PREFETCH`` handlers and generated trace code read ``inst.disp`` at
+  call time: the self-repairing optimizer patches prefetch
+  displacements in place (repro.core.repair), and a captured constant
+  would silently undo every repair.  All other instruction fields are
+  immutable after assembly and are captured.
 """
 
 from __future__ import annotations
+
+import hashlib
+import linecache
+import math
 
 from ..isa.opcodes import (
     CONDITIONAL_BRANCHES,
@@ -733,491 +753,407 @@ def _orig_reg_op(core, pc, inst, kind):
 
 
 # ---------------------------------------------------------------------------
-# Trace handlers.  One closure per body index; each advances
-# ``core._trace_idx`` itself (or finishes/exits the trace), replicating
-# ``SMTCore._step_trace``.  Traces only execute under a runtime, so the
+# Linked traces.  A trace body is straight-line code, so it runs as ONE
+# generated function per trace: ``trace_source`` renders the body as
+# Python source with every captured operand a literal, ``compile_trace``
+# compiles each distinct source once per process and binds the code to
+# one core.  The function replicates ``SMTCore._step_trace`` followed by
+# the post-step sequence of ``SMTCore._run_fast`` for every instruction,
+# keeping the scalar pipeline state and the trace's stat counters in
+# locals between hook calls.  Traces only execute under a runtime, so the
 # issue-interference check is unconditional here.
 # ---------------------------------------------------------------------------
-def compile_trace(core, trace):
-    """Return the per-index step closures for ``trace.body``."""
-    body = trace.body
-    last = len(body) - 1
-    return [_compile_trace_step(core, trace, idx, idx == last)
-            for idx, tinst in enumerate(body)]
 
+#: Generated ``bind`` functions, keyed by their source: cores that run
+#: the same trace shape share one code object (a sweep re-forms the same
+#: traces in every cell of a workload).  Each entry holds about 100 KB
+#: with its ``linecache`` lines, so the cache starts over past
+#: ``_TRACE_BINDERS_MAX`` entries; bound functions keep their code.
+_TRACE_BINDERS: dict = {}
+_TRACE_BINDERS_MAX = 256
 
-def _compile_trace_step(core, trace, idx, is_last):
-    tinst = trace.body[idx]
-    op = tinst.inst.opcode
-    if op in LOAD_OPCODES:
-        return _trace_load(core, trace, idx, is_last)
-    if op is Opcode.STQ:
-        return _trace_store(core, trace, idx, is_last)
-    if op is Opcode.PREFETCH:
-        return _trace_prefetch(core, trace, idx, is_last)
-    if op in CONDITIONAL_BRANCHES or op is Opcode.JMP:
-        # _step_trace routes JMP through the conditional-branch arm
-        # (taken is always True), so a hand-built trace containing one
-        # predicts/exits exactly like the generic loop.
-        return _trace_cond_branch(core, trace, idx, is_last)
-    if op is Opcode.HALT:
-        return _trace_halt(core, trace, idx)
-    # BR, NOP, LDA, MOVE and ALU ops all share the plain-advance tail.
-    return _trace_plain(core, trace, idx, is_last)
+#: Globals of the generated code: the L1-hit kinds and the ALU value
+#: functions, one name per opcode (``op_addq``).
+_TRACE_GLOBALS = {
+    "HIT": _HIT,
+    "HIT_PF": _HIT_PF,
+    **{f"op_{op.value}": fn for op, fn in ALU_OPS.items()},
+}
 
+_COND_TEST = {
+    Opcode.BEQ: "== 0",
+    Opcode.BNE: "!= 0",
+    Opcode.BLT: "< 0",
+    Opcode.BGE: ">= 0",
+}
 
-def _trace_prologue(core, trace, idx):
-    """Shared decode-time captures for the trace factories."""
-    tinst = trace.body[idx]
-    return tinst, tinst.inst, tinst.orig_pc, tinst.synthetic
-
-
-def _trace_load(core, trace, idx, is_last):
+#: Per-core bindings (run once per trace per core), the helpers the
+#: generated code calls on its rare paths, and the run function's entry.
+#: ``{state}`` is the run function's locals that ``save`` writes back;
+#: ``save`` also records the trace index unless it is None (the trace
+#: has finished).
+_BIND_HEAD = """\
+def bind(core, trace, live, consts, patch_get):
     ctx = core.ctx
     regs = ctx.regs
     ready = core._reg_ready
     rob = core._rob
     rob_len = len(rob)
     loadq = core._loadq
-    stats = core.stats
-    runtime = core.runtime
-    helper = runtime.helper
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    tinst, inst, orig_pc, synthetic = _trace_prologue(core, trace, idx)
-    read = (core.memory.read_quiet if inst.opcode is Opcode.LDQ_NF
-            else core.memory.read)
-    hier_load = core.hierarchy.load
-    hier_load_syn = core.hierarchy.load_synthetic
-    ra, rd, disp = inst.ra, inst.rd, inst.disp
-    freads = rd != 31
-    twrites = rd is not None and rd != 31
-    next_idx = idx + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        ea = int(regs[ra]) + disp
-        if freads:
-            regs[rd] = read(ea)
-        clock = core._issue_clock
-        cost = issue_cost
-        if helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        if synthetic:
-            stats.synthetic_executed += 1
-        else:
-            stats.committed += 1
-            stats.trace_committed += 1
-        # _time_load (tagged with the original PC)
-        access = issue
-        addr_ready = ready[ra]
-        if addr_ready > access:
-            access = addr_ready
-        li = core._loadq_idx
-        lq_limit = loadq[li]
-        if lq_limit > access:
-            access = lq_limit
-        if synthetic:
-            outcome = hier_load_syn(ea, int(access))
-        else:
-            outcome = hier_load(orig_pc, ea, int(access))
-        completion = access + outcome.latency
-        loadq[li] = completion
-        li += 1
-        if li == _MEM_QUEUE:
-            li = 0
-        core._loadq_idx = li
-        if twrites:
-            ready[rd] = completion
-        if not synthetic:
-            stats.loads_executed += 1
-            kind = outcome.kind
-            if kind is not _HIT and kind is not _HIT_PF:  # is_miss
-                stats.misses_total += 1
-                stats.misses_in_traces += 1
-                by_pc = stats.miss_count_by_pc
-                by_pc[orig_pc] = by_pc.get(orig_pc, 0) + 1
-            runtime.on_trace_load(orig_pc, trace, ea, outcome, access)
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        if is_last:
-            core._finish_trace(trace, completed=True)
-            next_pc = trace.fallthrough_pc
-            ctx.pc = next_pc
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-        else:
-            core._trace_idx = next_idx
-
-    return step
-
-
-def _trace_store(core, trace, idx, is_last):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    helper = runtime.helper
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    tinst, inst, orig_pc, synthetic = _trace_prologue(core, trace, idx)
-    write = core.memory.write
-    hier_store = core.hierarchy.store
-    ra, rd, disp = inst.ra, inst.rd, inst.disp
-    next_idx = idx + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        ea = int(regs[ra]) + disp
-        write(ea, regs[rd])
-        clock = core._issue_clock
-        cost = issue_cost
-        if helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        if synthetic:
-            stats.synthetic_executed += 1
-        else:
-            stats.committed += 1
-            stats.trace_committed += 1
-        completion = max(issue, ready[ra], ready[rd]) + 1
-        hier_store(ea, int(completion))
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        if is_last:
-            core._finish_trace(trace, completed=True)
-            next_pc = trace.fallthrough_pc
-            ctx.pc = next_pc
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-        else:
-            core._trace_idx = next_idx
-
-    return step
-
-
-def _trace_prefetch(core, trace, idx, is_last):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    helper = runtime.helper
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    tinst, inst, orig_pc, synthetic = _trace_prologue(core, trace, idx)
-    hier_prefetch = core.hierarchy.software_prefetch
-    ra = inst.ra
-    next_idx = idx + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        ea = int(regs[ra]) + inst.disp  # disp read live: repairs patch it
-        clock = core._issue_clock
-        cost = issue_cost
-        if helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        if synthetic:
-            stats.synthetic_executed += 1
-        else:
-            stats.committed += 1
-            stats.trace_committed += 1
-        access = max(issue, ready[ra])
-        hier_prefetch(ea, int(access))
-        completion = access
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        if is_last:
-            core._finish_trace(trace, completed=True)
-            next_pc = trace.fallthrough_pc
-            ctx.pc = next_pc
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-        else:
-            core._trace_idx = next_idx
-
-    return step
-
-
-def _trace_cond_branch(core, trace, idx, is_last):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
     bp = core._bp_table
     stats = core.stats
     runtime = core.runtime
     helper = runtime.helper
-    patch_get = _patch_lookup(runtime)
+    queued = runtime.events._queue
+    tick = runtime.tick
+    on_trace_load = runtime.on_trace_load
     issue_cost = core._issue_cost
-    interference = core.config.helper_interference
+    busy_cost = issue_cost * core.config.helper_interference
     penalty = core.config.mispredict_penalty
-    tinst, inst, orig_pc, synthetic = _trace_prologue(core, trace, idx)
-    cond = _COND.get(inst.opcode) or (lambda v: True)  # JMP: always taken
-    ra, target = inst.ra, inst.target
-    expected = tinst.expected_taken
-    slot = orig_pc & 4095
-    exit_fall_pc = orig_pc + 1
-    next_idx = idx + 1
-    enter_trace = core._enter_trace
+    read = core.memory.read
+    read_quiet = core.memory.read_quiet
+    write = core.memory.write
+    hier_load = core.hierarchy.load
+    hier_load_syn = core.hierarchy.load_synthetic
+    hier_store = core.hierarchy.store
+    hier_prefetch = core.hierarchy.software_prefetch
+    finish = core._finish_trace
+    enter = core._enter_trace
+    injector = core.injector
+    watchdog = core.watchdog
 
-    def step():
-        taken = cond(regs[ra])
-        clock = core._issue_clock
-        cost = issue_cost
-        if helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        if synthetic:
-            stats.synthetic_executed += 1
-        else:
-            stats.committed += 1
-            stats.trace_committed += 1
-        stats.conditional_branches += 1
-        resolve = max(issue, ready[ra]) + _INT_LATENCY
-        counter = bp[slot]
-        predicted = counter >= 2
-        if taken:
-            if counter < 3:
-                bp[slot] = counter + 1
-        else:
-            if counter > 0:
-                bp[slot] = counter - 1
-        if predicted != taken:
-            stats.branch_mispredicts += 1
-            core._fetch_stall_until = resolve + penalty
-        completion = resolve
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
+    def save(idx, {state}):
+        if idx is not None:
+            core._trace_idx = idx
+        core._issue_clock = clock
+        core._fetch_stall_until = stall
         core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        if taken != expected:
+        core._loadq_idx = li
+        core._completion_max = cmax
+        stats.trace_committed += committed - stats.committed
+        stats.committed = committed
+{save_counters}
+    def missed(pc):
+        stats.misses_total += 1
+        stats.misses_in_traces += 1
+        by_pc = stats.miss_count_by_pc
+        by_pc[pc] = by_pc.get(pc, 0) + 1
+
+    def ticked(clock):
+        tick(clock)
+        return helper._job, helper.busy_until, helper.stalled_until
+
+    def injected(idx, {state}):
+        save(idx, {state})
+        injector.tick(clock, committed)
+        return helper._job, helper.busy_until, helper.stalled_until
+
+    def paused(idx, until, {state}):
+        save(idx, {state})
+        if until <= 0:
+            until = watchdog.check_interval
+            watchdog.check(committed, max(cmax, clock))
+        return until
+
+    def after(until, {state}):
+        # The post-step sequence once the trace has finished or halted;
+        # the helper state is read live.
+        job = helper._job
+        if (clock >= job.ready) if job is not None else (
+            queued and clock >= helper.stalled_until
+        ):
+            tick(clock)
+        if injector is not None:
+            save(None, {state})
+            injector.tick(clock, committed)
+        if watchdog is not None:
+            until -= 1
+            if until <= 0:
+                until = paused(None, until, {state})
+        return until
+
+    def left(pc, completed, until, {state}):
+        # Finish the trace, continue at ``pc``, then the post-step sequence.
+        if not completed:
             stats.trace_exits_early += 1
-            core._finish_trace(trace, completed=False)
-            exit_pc = target if taken else exit_fall_pc
-            ctx.pc = exit_pc
-            t = patch_get(exit_pc)
-            if t is not None:
-                enter_trace(t, exit_pc)
-        elif is_last:
-            core._finish_trace(trace, completed=True)
-            next_pc = trace.fallthrough_pc
-            ctx.pc = next_pc
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-        else:
-            core._trace_idx = next_idx
+        save(None, {state})
+        finish(trace, completed)
+        ctx.pc = pc
+        t = patch_get(pc)
+        if t is not None:
+            enter(t, pc)
+        return after(until, {state})
 
-    return step
-
-
-def _trace_halt(core, trace, idx):
-    ctx = core.ctx
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    helper = runtime.helper
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    tinst, inst, orig_pc, synthetic = _trace_prologue(core, trace, idx)
-
-    def step():
-        ctx.halted = True
+    def run(start, budget, until):
         clock = core._issue_clock
-        cost = issue_cost
-        if helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
         stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
         ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        if synthetic:
-            stats.synthetic_executed += 1
+        li = core._loadq_idx
+        cmax = core._completion_max
+        committed = stats.committed
+{load_counters}
+        while True:
+            job = helper._job
+            busy = helper.busy_until
+            stalled = helper.stalled_until
+"""
+
+#: Optional counters: (local name, ``CoreStats`` field).
+_COUNTERS = (
+    ("synthetic", "synthetic_executed"),
+    ("loads", "loads_executed"),
+    ("branches", "conditional_branches"),
+)
+
+_ISSUE = """\
+clock += busy_cost if busy > clock else issue_cost
+if clock < stall:
+    clock = stall
+t = rob[ri]
+if clock < t:
+    clock = t
+"""
+
+_RETIRE = """\
+rob[ri] = c
+ri += 1
+if ri == rob_len:
+    ri = 0
+if c > cmax:
+    cmax = c
+"""
+
+#: ``_run_fast``'s ``runtime.tick`` guard on the helper state locals.
+_TICK = """\
+if (clock >= job.ready) if job is not None else (queued and clock >= stalled):
+    job, busy, stalled = ticked(clock)
+"""
+
+
+def compile_trace(core, trace):
+    """Return ``run(start, budget, until)`` for ``trace`` on ``core``.
+
+    ``run`` executes the body from index ``start`` until the trace
+    completes, exits early or halts, or ``budget`` instructions are
+    committed, and returns the watchdog countdown ``until``.  When the
+    trace completes and the core re-enters the same trace, it goes round
+    again without returning.
+    """
+    source, live, consts = trace_source(
+        trace.body,
+        trace.fallthrough_pc,
+        injector=core.injector is not None,
+        watchdog=core.watchdog is not None,
+    )
+    bind = _TRACE_BINDERS.get(source)
+    if bind is None:
+        if len(_TRACE_BINDERS) >= _TRACE_BINDERS_MAX:
+            for old in _TRACE_BINDERS.values():
+                linecache.cache.pop(old.__code__.co_filename, None)
+            _TRACE_BINDERS.clear()
+        bind = _TRACE_BINDERS[source] = _load_binder(source)
+    return bind(core, trace, live, consts, _patch_lookup(core.runtime))
+
+
+def _load_binder(source):
+    """Compile ``source`` and return its ``bind``; the source is
+    registered with :mod:`linecache` so tracebacks and profilers show
+    the generated lines."""
+    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
+    filename = f"<trace {digest}>"
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
+    )
+    namespace = dict(_TRACE_GLOBALS)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]
+
+
+def trace_source(body, fallthrough_pc, injector, watchdog):
+    """Python source of the ``bind`` function for a trace body.
+
+    Returns ``(source, live, consts)``: the ``PREFETCH`` instructions the
+    code reads ``disp`` from at run time (repairs patch it in place) and
+    the operands that have no exact literal, both passed to ``bind``.
+    ``injector`` and ``watchdog`` say whether the core has each hook.
+    """
+    if not body:
+        raise ValueError("a trace body needs at least one instruction")
+    live = []
+    consts = []
+
+    def lit(value):
+        if value is None or type(value) in (int, bool) or (
+            type(value) is float and math.isfinite(value)
+        ):
+            return repr(value)
+        consts.append(value)
+        return f"consts[{len(consts) - 1}]"
+
+    ops = [tinst.inst.opcode for tinst in body]
+    used = (
+        any(tinst.synthetic for tinst in body),
+        any(op in LOAD_OPCODES and not tinst.synthetic
+            for op, tinst in zip(ops, body)),
+        any(op in CONDITIONAL_BRANCHES or op is Opcode.JMP for op in ops),
+    )
+    counters = [name for (name, _), on in zip(_COUNTERS, used) if on]
+    fields = [field for (_, field), on in zip(_COUNTERS, used) if on]
+    state = ", ".join(["clock, stall, ri, li, cmax, committed"] + counters)
+
+    out = []
+
+    def emit(depth, text):
+        pad = "    " * depth
+        out.extend(pad + line if line else line
+                   for line in text.rstrip("\n").split("\n"))
+
+    def hooks(idx, budget):
+        """The post-step sequence of ``_run_fast``, then its budget test
+        when ``budget``; ``idx`` is the trace index to record before a
+        hook that reads core state."""
+        emit(4, _TICK)
+        if injector:
+            emit(4, f"job, busy, stalled = injected({idx}, {state})")
+        pause = f"until = paused({idx}, until, {state})"
+        if watchdog and budget:
+            emit(4, "until -= 1\n"
+                    "if until <= 0 or committed >= budget:\n"
+                    f"    {pause}\n"
+                    "    if committed >= budget:\n        return until")
+        elif watchdog:
+            emit(4, f"until -= 1\nif until <= 0:\n    {pause}")
+        elif budget:
+            emit(4, f"if committed >= budget:\n"
+                    f"    save({idx}, {state})\n    return until")
+
+    for idx, tinst in enumerate(body):
+        inst = tinst.inst
+        op = ops[idx]
+        orig_pc = tinst.orig_pc
+        syn = tinst.synthetic
+        ra, rb, rd = inst.ra, inst.rb, inst.rd
+        last = idx == len(body) - 1
+        emit(3, f"if start <= {idx}:")
+        emit(4, f"# {idx}: {op.value} @ pc {orig_pc}"
+                + (" (synthetic)" if syn else ""))
+        count = "synthetic += 1" if syn else "committed += 1"
+        exit_test = None
+        # Functional execute, issue, count, per-kind timing, retire:
+        # the order of the per-kind factories this replaces.
+        if op in LOAD_OPCODES:
+            reader = "read_quiet" if op is Opcode.LDQ_NF else "read"
+            emit(4, f"ea = int(regs[{ra}]) + {lit(inst.disp)}")
+            if rd != 31:
+                emit(4, f"regs[{rd}] = {reader}(ea)")
+            emit(4, _ISSUE + count)
+            emit(4, f"a = clock\nt = ready[{ra}]\nif t > a:\n    a = t\n"
+                    "t = loadq[li]\nif t > a:\n    a = t")
+            if syn:
+                emit(4, "o = hier_load_syn(ea, int(a))")
+            else:
+                emit(4, f"o = hier_load({orig_pc}, ea, int(a))")
+            emit(4, f"c = a + o.latency\nloadq[li] = c\nli += 1\n"
+                    f"if li == {_MEM_QUEUE}:\n    li = 0")
+            if rd is not None and rd != 31:
+                emit(4, f"ready[{rd}] = c")
+            if not syn:
+                emit(4, "loads += 1\nk = o.kind\n"
+                        "if k is not HIT and k is not HIT_PF:\n"
+                        f"    missed({orig_pc})\n"
+                        f"on_trace_load({orig_pc}, trace, ea, o, a)")
+        elif op is Opcode.STQ:
+            emit(4, f"ea = int(regs[{ra}]) + {lit(inst.disp)}\n"
+                    f"write(ea, regs[{rd}])")
+            emit(4, _ISSUE + count)
+            emit(4, f"c = max(clock, ready[{ra}], ready[{rd}]) + 1\n"
+                    "hier_store(ea, int(c))")
+        elif op is Opcode.PREFETCH:
+            live.append(inst)
+            emit(4, f"ea = int(regs[{ra}]) + live[{len(live) - 1}].disp"
+                    "  # repairs patch disp")
+            emit(4, _ISSUE + count)
+            emit(4, f"c = clock\nt = ready[{ra}]\nif t > c:\n    c = t\n"
+                    "hier_prefetch(ea, int(c))")
+        elif op in CONDITIONAL_BRANCHES or op is Opcode.JMP:
+            # _step_trace routes JMP through the conditional-branch arm
+            # (always taken).
+            if op is Opcode.JMP:
+                emit(4, "tk = True")
+            else:
+                emit(4, f"tk = regs[{ra}] {_COND_TEST[op]}")
+            emit(4, _ISSUE + count + "\nbranches += 1")
+            slot = orig_pc & 4095
+            emit(4, f"c = clock\nt = ready[{ra}]\nif t > c:\n    c = t\n"
+                    f"c += {_INT_LATENCY}\nn = bp[{slot}]\nif tk:\n"
+                    f"    if n < 3:\n        bp[{slot}] = n + 1\n"
+                    f"elif n > 0:\n    bp[{slot}] = n - 1\n"
+                    "if (n >= 2) != tk:\n"
+                    "    stats.branch_mispredicts += 1\n"
+                    "    stall = c + penalty")
+            expected = tinst.expected_taken
+            fall = orig_pc + 1
+            if expected is True:
+                exit_test, exit_pc = "not tk", fall
+            elif expected is False:
+                exit_test, exit_pc = "tk", inst.target
+            else:
+                exit_test = f"tk != {expected!r}"
+                exit_pc = f"{inst.target} if tk else {fall}"
+        elif op is Opcode.HALT:
+            emit(4, "ctx.halted = True")
+            emit(4, _ISSUE + count + "\nc = clock")
         else:
-            stats.committed += 1
-            stats.trace_committed += 1
-        completion = issue
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        # Matches _step_trace's halted tail: drop the trace without
-        # finishing it (no obs emit, no on_trace_execution).
-        core._trace = None
+            # BR and NOP complete at issue; LDA, MOVE and the ALU ops go
+            # through ALU timing.
+            if op is Opcode.LDA:
+                if rd != 31:
+                    emit(4, f"regs[{rd}] = int(regs[{ra}]) + {lit(inst.disp)}")
+            elif op is Opcode.MOVE:
+                if rd != 31:
+                    emit(4, f"regs[{rd}] = regs[{ra}]")
+            elif op in ALU_OPS:
+                b = f"regs[{rb}]" if rb is not None else lit(inst.imm)
+                value = f"op_{op.value}(regs[{ra}], {b})"
+                emit(4, f"regs[{rd}] = {value}" if rd != 31 else value)
+            elif op is not Opcode.BR and op is not Opcode.NOP:
+                raise ValueError(f"unhandled opcode {op}")
+            emit(4, _ISSUE + count + "\nc = clock")
+            if op is not Opcode.BR and op is not Opcode.NOP:
+                for src in (ra, rb):
+                    if src is not None:
+                        emit(4, f"t = ready[{src}]\nif t > c:\n    c = t")
+                emit(4, f"c += {_alu_latency(op)}")
+                if rd is not None and rd != 31:
+                    emit(4, f"ready[{rd}] = c")
+        emit(4, _RETIRE)
 
-    return step
-
-
-def _trace_plain(core, trace, idx, is_last):
-    """BR, NOP, LDA, MOVE and ALU ops inside a trace."""
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    helper = runtime.helper
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    tinst, inst, orig_pc, synthetic = _trace_prologue(core, trace, idx)
-    op = inst.opcode
-    ra, rb, rd = inst.ra, inst.rb, inst.rd
-    imm, disp = inst.imm, inst.disp
-    op_fn = ALU_OPS.get(op)
-    latency = _alu_latency(op)
-    is_lda = op is Opcode.LDA
-    is_move = op is Opcode.MOVE
-    # BR and NOP complete at issue; everything else goes through ALU
-    # timing (matching _step_trace's elif ordering).
-    issue_completes = op is Opcode.BR or op is Opcode.NOP
-    fwrites = rd != 31
-    twrites = rd is not None and rd != 31
-    has_ra = ra is not None
-    has_rb = rb is not None
-    next_idx = idx + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        if is_lda:
-            if fwrites:
-                regs[rd] = int(regs[ra]) + disp
-        elif is_move:
-            if fwrites:
-                regs[rd] = regs[ra]
-        elif op_fn is not None:
-            a = regs[ra]
-            b = regs[rb] if has_rb else imm
-            value = op_fn(a, b)
-            if fwrites:
-                regs[rd] = value
-        clock = core._issue_clock
-        cost = issue_cost
-        if helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        if synthetic:
-            stats.synthetic_executed += 1
+        if op is Opcode.HALT:
+            # Drop the trace without finishing it (no obs emit, no
+            # on_trace_execution), as _step_trace's halted tail does.
+            emit(4, f"core._trace = None\nsave({idx}, {state})\n"
+                    f"return after(until, {state})")
+            continue
+        if exit_test is not None:
+            emit(4, f"if {exit_test}:\n"
+                    f"    return left({exit_pc}, False, until, {state})")
+        if last:
+            emit(4, f"until = left({fallthrough_pc}, True, until, {state})\n"
+                    "if committed >= budget or core._trace is not trace:\n"
+                    "    return until\nstart = 0")
         else:
-            stats.committed += 1
-            stats.trace_committed += 1
-        if issue_completes:
-            completion = issue
-        else:
-            start = issue
-            if has_ra:
-                r = ready[ra]
-                if r > start:
-                    start = r
-            if has_rb:
-                r = ready[rb]
-                if r > start:
-                    start = r
-            completion = start + latency
-            if twrites:
-                ready[rd] = completion
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        if is_last:
-            core._finish_trace(trace, completed=True)
-            next_pc = trace.fallthrough_pc
-            ctx.pc = next_pc
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-        else:
-            core._trace_idx = next_idx
+            # A synthetic step commits nothing, so the budget test the
+            # step before passed still holds.
+            hooks(idx + 1, budget=not syn)
 
-    return step
+    head = _BIND_HEAD.format(
+        state=state,
+        save_counters="".join(f"        stats.{field} = {name}\n"
+                              for name, field in zip(counters, fields)),
+        load_counters="\n".join(f"        {name} = stats.{field}"
+                                for name, field in zip(counters, fields)),
+    )
+    return head + "\n".join(out) + "\n    return run\n", live, consts
 
 
 # ---------------------------------------------------------------------------

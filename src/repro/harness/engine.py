@@ -105,6 +105,10 @@ class SimJob:
     def spec(self) -> Dict:
         """The canonical JSON-able description hashed into the cache key.
 
+        Computed once per job and shared by every caller (cache, journal
+        and checkpoint keys), so callers must not modify it;
+        :meth:`to_dict` extends a copy.
+
         ``checkpoint_every`` is excluded: checkpoint cadence changes when
         the run *pauses to look*, never what it computes (chunked
         ``SMTCore.run`` calls are bit-identical to one call), so two jobs
@@ -118,6 +122,9 @@ class SimJob:
         selected — every pre-zoo job spec hashes byte-identically
         (``tests/test_spec_hashes.py`` pins this).
         """
+        spec = self.__dict__.get("_spec")
+        if spec is not None:
+            return spec
         config = _jsonify(dataclasses.asdict(self.config))
         config.pop("checkpoint_every", None)
         if config.get("hw_prefetcher") is None:
@@ -137,6 +144,8 @@ class SimJob:
             payload["trace"] = {
                 k: v for k, v in self.trace.items() if k != "path"
             }
+        # A frozen dataclass: store the memo past its __setattr__.
+        object.__setattr__(self, "_spec", payload)
         return payload
 
     @property
@@ -157,7 +166,7 @@ class SimJob:
     def to_dict(self) -> Dict:
         """The full job as JSON — ``spec()`` plus the fields the cache
         key deliberately omits — so a journal can rebuild it."""
-        payload = self.spec()
+        payload = dict(self.spec())
         payload["group"] = self.group
         payload["checkpoint_every"] = self.config.checkpoint_every
         if self.trace is not None:

@@ -6,7 +6,9 @@ attribute reads.  The functions below run once per load, per prefetch
 probe or per committed instruction, so they compare against members
 bound to module constants instead (DESIGN.md §5c‴).  This test parses
 each function's source and fails on any attribute read of an Enum class
-named in ``ENUM_CLASSES``.
+named in ``ENUM_CLASSES``.  The generated code of a linked trace runs
+once per trace instruction, so the source rendered for a trace with
+every kind of trace instruction is checked the same way.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ import textwrap
 import pytest
 
 from repro.config import PrefetchPolicy
+from repro.cpu.fastpath import trace_source
 from repro.hwprefetch.stream_buffer import StreamBufferPrefetcher
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.stats import LoadOutcome, MemoryStats
 from repro.trident.dlt import DelinquentLoadTable
 from repro.trident.runtime import TridentRuntime
+from repro.trident.trace import TraceInstruction
 
 ENUM_CLASSES = {"OutcomeKind", "PrefetchSource", "PrefetchPolicy", "Opcode"}
 
@@ -76,3 +82,36 @@ def test_checker_sees_member_reads():
     assert sorted(enum_reads(source)) == [
         "Opcode.LDQ", "OutcomeKind.HIT", "PrefetchPolicy.BASIC",
     ]
+
+
+def _every_trace_kind():
+    """A trace body with one instruction of every kind a trace holds."""
+    def t(opcode, synthetic=False, expected=None, **fields):
+        return TraceInstruction(Instruction(opcode=opcode, **fields), 7,
+                                expected, synthetic)
+
+    return [
+        t(Opcode.LDQ, rd=1, ra=2, disp=8),
+        t(Opcode.LDQ_NF, synthetic=True, rd=3, ra=1, disp=16),
+        t(Opcode.PREFETCH, synthetic=True, ra=1, disp=64),
+        t(Opcode.STQ, rd=1, ra=2, disp=24),
+        t(Opcode.ADDQ, rd=4, ra=1, rb=3),
+        t(Opcode.MULF, rd=5, ra=5, imm=1.5),
+        t(Opcode.LDA, rd=2, ra=2, disp=8),
+        t(Opcode.MOVE, rd=6, ra=4),
+        t(Opcode.NOP),
+        t(Opcode.BR, target=3),
+        t(Opcode.BNE, expected=True, ra=4, target=3),
+        t(Opcode.BEQ, expected=False, ra=4, target=9),
+        t(Opcode.JMP, expected=True, ra=6, target=3),
+        t(Opcode.HALT),
+    ]
+
+
+@pytest.mark.parametrize("injector", [False, True])
+def test_no_enum_member_reads_in_generated_trace_code(injector):
+    source, _live, _consts = trace_source(
+        _every_trace_kind(), 3, injector=injector, watchdog=True
+    )
+    compile(source, "<trace>", "exec")
+    assert enum_reads(source) == []

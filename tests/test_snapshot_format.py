@@ -95,7 +95,7 @@ class TestSimulatorRoundTrip:
         sim = _simulation("mcf", "self_repairing")
         _step_until(sim, lambda s: s.core._trace is not None)
         _assert_round_trip(sim)
-        assert restore(capture(sim)).core._trace_handlers is not None
+        assert restore(capture(sim)).core._trace_run is not None
 
     def test_helper_busy(self):
         sim = _simulation("mcf", "self_repairing")

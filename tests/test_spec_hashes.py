@@ -76,3 +76,21 @@ def test_zoo_policy_spec_carries_engine_name():
         keys.add(job_key(spec))
     # hw_only + every zoo engine all produce distinct cache identities.
     assert len(keys) == 1 + len(zoo_names())
+
+
+def test_spec_is_computed_once_per_job():
+    """``spec()`` is memoized on the job; ``to_dict`` extends a copy, and
+    a pickled job (what a worker receives) keys identically."""
+    import pickle
+
+    from repro.harness.engine import SimJob
+
+    job = make_job("mcf", policy=PrefetchPolicy.SELF_REPAIRING, **BUDGET)
+    spec = job.spec()
+    key = job_key(spec)
+    assert job.spec() is spec
+    payload = job.to_dict()
+    assert payload is not spec and "group" not in spec
+    assert job_key(job.spec()) == key
+    assert job_key(pickle.loads(pickle.dumps(job)).spec()) == key
+    assert job_key(SimJob.from_dict(payload).spec()) == key
