@@ -46,7 +46,7 @@ since dropped pickle in full.  :func:`canonical_dumps` never refers:
 it is the full canonical form.
 
 Volatile derived state is excluded by ``__getstate__`` hooks on its
-owners: the fast interpreter's handler closures and generated trace
+owners: the fast interpreter's step handlers and generated trace
 functions (``SMTCore``, ``HotTrace._fast_cache``) are rebuilt on
 demand, and the watchdog's wall-clock deadline is re-armed on the next
 ``run`` call.

@@ -40,18 +40,13 @@ from ..memory.mainmem import DataMemory
 from .context import ThreadContext
 from .executor import Executor
 from .fastpath import (
+    _INT_LATENCY,
+    _MEM_QUEUE,
     ALU_LATENCY,
     compile_batches,
     compile_program,
     compile_trace,
 )
-
-#: Execution latencies (cycles) by opcode class.
-_INT_LATENCY = 1
-_MUL_LATENCY = 3
-_FP_LATENCY = 4
-_DIV_LATENCY = 12
-_MEM_QUEUE = 64
 
 
 @dataclass
@@ -312,6 +307,11 @@ class SMTCore:
 
     def _run_fast(self, budget: int) -> None:
         """Pre-decoded dispatch loop; see :mod:`repro.cpu.fastpath`.
+
+        ``handlers[pc]`` is the step of the instruction at ``pc``, bound
+        from the template ``fastpath.compile_program`` renders for its
+        shape, with or without a runtime (a runtime's steps probe the
+        patch map for a trace entry and call ``on_branch``).
 
         Two variants.  With a runtime or injector attached, every step
         is followed by the ``runtime.tick``/``injector.tick``/watchdog

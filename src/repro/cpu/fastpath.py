@@ -8,11 +8,15 @@ that execute the same few hundred static instructions millions of times,
 nearly all of that work is loop-invariant.
 
 This module compiles each static instruction of the program **once**
-into a closure that performs the entire architectural + timing step —
-functional execute, issue, per-kind timing, retire, next-PC — with every
-loop-invariant operand (register indices, displacement, branch target,
-latency, hierarchy methods, stat objects) pre-bound.  ``SMTCore`` then
-executes ``handlers[pc]()`` per step, or a straight ``for`` over a
+into a zero-argument step handler that performs the entire architectural
++ timing step — functional execute, issue, per-kind timing, retire,
+next-PC — with every loop-invariant operand (register indices,
+displacement, branch target, hierarchy methods, stat objects) bound as
+a closure variable.  The handler's code is rendered from a template per
+instruction *shape* (opcode, which registers it has, whether a runtime
+is attached: :func:`step_source`), compiled once per process and bound
+per instruction, so a step tests no flags at run time.  ``SMTCore``
+then executes ``handlers[pc]()`` per step, or a straight ``for`` over a
 basic block of pure-register handlers when no runtime/injector needs
 per-step hooks.
 
@@ -31,13 +35,18 @@ reads core state — ``_finish_trace``, ``_enter_trace``,
 helper's job, busy-until and stall cycles are locals too, re-read after
 ``runtime.tick`` and ``injector.tick``, the only calls that change them.
 
-Correctness contract: every closure and every generated instruction
+Step templates and trace code are built from the same per-instruction
+snippets (execute, issue, per-kind timing, retire), so each of those
+exists once here; only the operands' spelling differs.
+
+Correctness contract: every step and every generated trace instruction
 replicates the corresponding branch of ``SMTCore._step_original`` /
 ``_step_trace`` *exactly* — same float arithmetic in the same order,
 same stat-update order, same hook call sites — so slow and fast paths
 produce byte-identical ``SimulationResult`` payloads.
-``tests/test_fastpath_equivalence.py``, ``tests/test_trace_codegen.py``
-and the golden fixtures under ``tests/data/golden/`` enforce this.
+``tests/test_fastpath_equivalence.py``, ``tests/test_fastpath_property.py``,
+``tests/test_trace_codegen.py`` and the golden fixtures under
+``tests/data/golden/`` enforce this.
 
 Mutability notes (why each capture is safe):
 
@@ -45,16 +54,21 @@ Mutability notes (why each capture is safe):
   ``core._bp_table`` are lists assigned once in their owners' ``__init__``
   and only ever mutated in place.
 * ``core.stats`` is one ``CoreStats`` for the core's lifetime;
-  ``reset_measurement`` reassigns ``miss_count_by_pc``, so handlers read
-  that dict through ``stats`` at call time, never capture it.
+  ``reset_measurement`` reassigns ``miss_count_by_pc``, so generated
+  code reads that dict through ``stats`` at call time, never captures it.
+* The scalar pipeline state (``core._issue_clock``, ``_fetch_stall_until``,
+  ``_rob_idx``, ``_loadq_idx``, ``_completion_max``) is never captured: a
+  step reads it from the core on entry and writes it back before any
+  call that can read it, as the trace code's ``save`` does.
 * Hierarchy/memory *methods* are stable (fault injection mutates fields
   like ``dram_latency_extra``, never rebinds methods), so bound methods
-  are captured.
-* ``PREFETCH`` handlers and generated trace code read ``inst.disp`` at
+  are captured.  ``runtime.helper`` is captured, its ``busy_until`` read
+  per step; ``runtime.on_branch`` is looked up per call.
+* ``PREFETCH`` steps and generated trace code read ``inst.disp`` at
   call time: the self-repairing optimizer patches prefetch
   displacements in place (repro.core.repair), and a captured constant
   would silently undo every repair.  All other instruction fields are
-  immutable after assembly and are captured.
+  immutable after assembly and are captured when a step is bound.
 """
 
 from __future__ import annotations
@@ -93,14 +107,8 @@ BATCHABLE_OPCODES = frozenset(
     | {Opcode.STQ, Opcode.PREFETCH, Opcode.LDA, Opcode.MOVE, Opcode.NOP}
 )
 
-#: Branch-condition tests, keyed by opcode (ra is tested against zero).
-_COND = {
-    Opcode.BEQ: lambda v: v == 0,
-    Opcode.BNE: lambda v: v != 0,
-    Opcode.BLT: lambda v: v < 0,
-    Opcode.BGE: lambda v: v >= 0,
-}
-
+#: Load-queue entries, and execution latencies (cycles) by opcode class;
+#: ``SMTCore`` imports the first two.
 _MEM_QUEUE = 64
 _INT_LATENCY = 1
 _MUL_LATENCY = 3
@@ -167,619 +175,22 @@ def block_lengths(instructions) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Original-program handlers.  Each factory returns one zero-argument
-# closure performing the full step for instruction ``inst`` at ``pc``.
+# Per-instruction snippets.  One instruction's functional execute, issue,
+# per-kind timing and retire exist once, as Python source shared by the
+# step templates of the original program and the generated code of
+# linked traces.  They work on the locals ``clock`` (issue clock),
+# ``stall`` (fetch stall), ``ri`` and ``li`` (ROB and load-queue
+# cursors) and leave the completion time in ``c``.  Each takes the
+# spelling of its operands: literals in a trace, closure variables in a
+# step template, so every instruction of one shape shares one source.
 #
-# Every closure repeats the same inlined _issue/_retire sequences rather
-# than calling shared helpers: the whole point of this module is that a
-# step is ONE function call.
+# An operand spelling ``spell`` maps ``ra``, ``rb`` and ``rd`` (None when the
+# instruction has no such register), ``dest`` (the register a result is
+# written to, None when ``rd`` is absent or r31), ``disp``, ``imm``,
+# ``pc`` (the miss-count and load-tag PC), ``prefetch`` (the instruction
+# a ``PREFETCH`` reads ``disp`` from at run time: repairs patch it in
+# place), and an ALU op's value function ``fn`` and latency ``lat``.
 # ---------------------------------------------------------------------------
-def compile_program(core):
-    """Return ``(handlers, block_len)`` for ``core.program``."""
-    instructions = core.program.instructions
-    handlers = [_compile_original(core, pc, inst)
-                for pc, inst in enumerate(instructions)]
-    return handlers, block_lengths(instructions)
-
-
-def _compile_original(core, pc, inst):
-    op = inst.opcode
-    if op in LOAD_OPCODES:
-        return _orig_load(core, pc, inst)
-    if op is Opcode.STQ:
-        return _orig_store(core, pc, inst)
-    if op is Opcode.PREFETCH:
-        return _orig_prefetch(core, pc, inst)
-    if op in CONDITIONAL_BRANCHES:
-        return _orig_cond_branch(core, pc, inst)
-    if op is Opcode.BR:
-        return _orig_br(core, pc, inst)
-    if op is Opcode.JMP:
-        return _orig_jmp(core, pc, inst)
-    if op is Opcode.HALT:
-        return _orig_halt(core, pc, inst)
-    if op is Opcode.NOP:
-        return _orig_nop(core, pc, inst)
-    if op is Opcode.LDA:
-        return _orig_lda(core, pc, inst)
-    if op is Opcode.MOVE:
-        return _orig_move(core, pc, inst)
-    if op in ALU_OPS:
-        return _orig_alu(core, pc, inst)
-    raise ValueError(f"unhandled opcode {op}")
-
-
-def _orig_load(core, pc, inst):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    loadq = core._loadq
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    read = (core.memory.read_quiet if inst.opcode is Opcode.LDQ_NF
-            else core.memory.read)
-    hier_load = core.hierarchy.load
-    ra, rd, disp = inst.ra, inst.rd, inst.disp
-    freads = rd != 31                      # functional register write
-    twrites = rd is not None and rd != 31  # timing ready[] update
-    next_pc = pc + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        ea = int(regs[ra]) + disp
-        if freads:
-            regs[rd] = read(ea)
-        # _issue
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        # _time_load
-        access = issue
-        addr_ready = ready[ra]
-        if addr_ready > access:
-            access = addr_ready
-        li = core._loadq_idx
-        lq_limit = loadq[li]
-        if lq_limit > access:
-            access = lq_limit
-        outcome = hier_load(pc, ea, int(access))
-        completion = access + outcome.latency
-        loadq[li] = completion
-        li += 1
-        if li == _MEM_QUEUE:
-            li = 0
-        core._loadq_idx = li
-        if twrites:
-            ready[rd] = completion
-        stats.loads_executed += 1
-        kind = outcome.kind
-        if kind is not _HIT and kind is not _HIT_PF:  # outcome.is_miss
-            stats.misses_total += 1
-            by_pc = stats.miss_count_by_pc
-            by_pc[pc] = by_pc.get(pc, 0) + 1
-        # _retire
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = next_pc
-        if has_runtime:
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-
-    return step
-
-
-def _orig_store(core, pc, inst):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    write = core.memory.write
-    hier_store = core.hierarchy.store
-    ra, rd, disp = inst.ra, inst.rd, inst.disp
-    next_pc = pc + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        ea = int(regs[ra]) + disp
-        write(ea, regs[rd])
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        completion = max(issue, ready[ra], ready[rd]) + 1
-        hier_store(ea, int(completion))
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = next_pc
-        if has_runtime:
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-
-    return step
-
-
-def _orig_prefetch(core, pc, inst):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    hier_prefetch = core.hierarchy.software_prefetch
-    ra = inst.ra
-    next_pc = pc + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        ea = int(regs[ra]) + inst.disp  # disp read live: repairs patch it
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        access = max(issue, ready[ra])
-        hier_prefetch(ea, int(access))
-        completion = access
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = next_pc
-        if has_runtime:
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-
-    return step
-
-
-def _orig_cond_branch(core, pc, inst):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    bp = core._bp_table
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    penalty = core.config.mispredict_penalty
-    cond = _COND[inst.opcode]
-    ra, target = inst.ra, inst.target
-    slot = pc & 4095
-    fall_pc = pc + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        taken = cond(regs[ra])
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        stats.conditional_branches += 1
-        resolve = max(issue, ready[ra]) + _INT_LATENCY
-        # _predict_branch
-        counter = bp[slot]
-        predicted = counter >= 2
-        if taken:
-            if counter < 3:
-                bp[slot] = counter + 1
-        else:
-            if counter > 0:
-                bp[slot] = counter - 1
-        if predicted != taken:
-            stats.branch_mispredicts += 1
-            core._fetch_stall_until = resolve + penalty
-        completion = resolve
-        next_pc = target if taken else fall_pc
-        if has_runtime:
-            runtime.on_branch(pc, taken, target, issue)
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = next_pc
-        if has_runtime:
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-
-    return step
-
-
-def _orig_br(core, pc, inst):
-    ctx = core.ctx
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    target = inst.target
-    enter_trace = core._enter_trace
-
-    def step():
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        completion = issue
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = target
-        if has_runtime:
-            t = patch_get(target)
-            if t is not None:
-                enter_trace(t, target)
-
-    return step
-
-
-def _orig_jmp(core, pc, inst):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    penalty = core.config.mispredict_penalty
-    ra = inst.ra
-    enter_trace = core._enter_trace
-
-    def step():
-        next_pc = int(regs[ra])
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        resolve = max(issue, ready[ra]) + _INT_LATENCY
-        core._fetch_stall_until = resolve + penalty
-        completion = resolve
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = next_pc
-        if has_runtime:
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-
-    return step
-
-
-def _orig_halt(core, pc, inst):
-    ctx = core.ctx
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    next_pc = pc + 1
-
-    def step():
-        ctx.halted = True
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        completion = issue
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = next_pc
-        # halted: no trace-entry check (matches _step_original's guard)
-
-    return step
-
-
-def _orig_nop(core, pc, inst):
-    ctx = core.ctx
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    next_pc = pc + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        completion = issue
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = next_pc
-        if has_runtime:
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-
-    return step
-
-
-def _orig_lda(core, pc, inst):
-    return _orig_reg_op(core, pc, inst, kind="lda")
-
-
-def _orig_move(core, pc, inst):
-    return _orig_reg_op(core, pc, inst, kind="move")
-
-
-def _orig_alu(core, pc, inst):
-    return _orig_reg_op(core, pc, inst, kind="alu")
-
-
-def _orig_reg_op(core, pc, inst, kind):
-    """LDA / MOVE / three-operand ALU: pure register ops, ALU timing."""
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    stats = core.stats
-    runtime = core.runtime
-    has_runtime = runtime is not None
-    helper = runtime.helper if has_runtime else None
-    patch_get = _patch_lookup(runtime)
-    issue_cost = core._issue_cost
-    interference = core.config.helper_interference
-    ra, rb, rd = inst.ra, inst.rb, inst.rd
-    imm, disp = inst.imm, inst.disp
-    op_fn = ALU_OPS.get(inst.opcode)
-    latency = _alu_latency(inst.opcode)
-    is_lda = kind == "lda"
-    is_move = kind == "move"
-    fwrites = rd != 31                     # functional write guard
-    twrites = rd is not None and rd != 31  # timing ready[] guard
-    has_ra = ra is not None
-    has_rb = rb is not None
-    next_pc = pc + 1
-    enter_trace = core._enter_trace
-
-    def step():
-        if is_lda:
-            if fwrites:
-                regs[rd] = int(regs[ra]) + disp
-        elif is_move:
-            if fwrites:
-                regs[rd] = regs[ra]
-        else:
-            a = regs[ra]
-            b = regs[rb] if has_rb else imm
-            value = op_fn(a, b)
-            if fwrites:
-                regs[rd] = value
-        clock = core._issue_clock
-        cost = issue_cost
-        if has_runtime and helper.busy_until > clock:
-            cost = issue_cost * interference
-        issue = clock + cost
-        stall = core._fetch_stall_until
-        if issue < stall:
-            issue = stall
-        ri = core._rob_idx
-        rob_limit = rob[ri]
-        if issue < rob_limit:
-            issue = rob_limit
-        core._issue_clock = issue
-        stats.committed += 1
-        # _time_alu
-        start = issue
-        if has_ra:
-            r = ready[ra]
-            if r > start:
-                start = r
-        if has_rb:
-            r = ready[rb]
-            if r > start:
-                start = r
-        completion = start + latency
-        if twrites:
-            ready[rd] = completion
-        rob[ri] = completion
-        ri += 1
-        if ri == rob_len:
-            ri = 0
-        core._rob_idx = ri
-        if completion > core._completion_max:
-            core._completion_max = completion
-        ctx.pc = next_pc
-        if has_runtime:
-            t = patch_get(next_pc)
-            if t is not None:
-                enter_trace(t, next_pc)
-
-    return step
-
-
-# ---------------------------------------------------------------------------
-# Linked traces.  A trace body is straight-line code, so it runs as ONE
-# generated function per trace: ``trace_source`` renders the body as
-# Python source with every captured operand a literal, ``compile_trace``
-# compiles each distinct source once per process and binds the code to
-# one core.  The function replicates ``SMTCore._step_trace`` followed by
-# the post-step sequence of ``SMTCore._run_fast`` for every instruction,
-# keeping the scalar pipeline state and the trace's stat counters in
-# locals between hook calls.  Traces only execute under a runtime, so the
-# issue-interference check is unconditional here.
-# ---------------------------------------------------------------------------
-
-#: Generated ``bind`` functions, keyed by their source: cores that run
-#: the same trace shape share one code object (a sweep re-forms the same
-#: traces in every cell of a workload).  Each entry holds about 100 KB
-#: with its ``linecache`` lines, so the cache starts over past
-#: ``_TRACE_BINDERS_MAX`` entries; bound functions keep their code.
-_TRACE_BINDERS: dict = {}
-_TRACE_BINDERS_MAX = 256
-
-#: Globals of the generated code: the L1-hit kinds and the ALU value
-#: functions, one name per opcode (``op_addq``).
-_TRACE_GLOBALS = {
-    "HIT": _HIT,
-    "HIT_PF": _HIT_PF,
-    **{f"op_{op.value}": fn for op, fn in ALU_OPS.items()},
-}
-
 _COND_TEST = {
     Opcode.BEQ: "== 0",
     Opcode.BNE: "!= 0",
@@ -787,13 +198,114 @@ _COND_TEST = {
     Opcode.BGE: ">= 0",
 }
 
-#: Per-core bindings (run once per trace per core), the helpers the
-#: generated code calls on its rare paths, and the run function's entry.
-#: ``{state}`` is the run function's locals that ``save`` writes back;
-#: ``save`` also records the trace index unless it is None (the trace
-#: has finished).
-_BIND_HEAD = """\
-def bind(core, trace, live, consts, patch_get):
+
+def _execute(op, spell):
+    """Functional execute: the register and memory effects.  A JMP has
+    none here; its target read is the step's (a trace knows its path)."""
+    ra, dest = spell["ra"], spell["dest"]
+    if op in LOAD_OPCODES:
+        text = f"ea = int(regs[{ra}]) + {spell['disp']}"
+        if dest is not None:
+            reader = "read_quiet" if op is Opcode.LDQ_NF else "read"
+            text += f"\nregs[{dest}] = {reader}(ea)"
+        return text
+    if op is Opcode.STQ:
+        return (f"ea = int(regs[{ra}]) + {spell['disp']}\n"
+                f"write(ea, regs[{spell['rd']}])")
+    if op is Opcode.PREFETCH:
+        return (f"ea = int(regs[{ra}]) + {spell['prefetch']}.disp"
+                "  # repairs patch disp")
+    if op in CONDITIONAL_BRANCHES:
+        return f"tk = regs[{ra}] {_COND_TEST[op]}"
+    if op is Opcode.HALT:
+        return "ctx.halted = True"
+    if op is Opcode.LDA:
+        value = f"int(regs[{ra}]) + {spell['disp']}"
+    elif op is Opcode.MOVE:
+        value = f"regs[{ra}]"
+    elif op in ALU_OPS:
+        b = f"regs[{spell['rb']}]" if spell["rb"] is not None else spell["imm"]
+        value = f"{spell['fn']}(regs[{ra}], {b})"
+        if dest is None:
+            return value
+    elif op in (Opcode.BR, Opcode.JMP, Opcode.NOP):
+        return ""
+    else:
+        raise ValueError(f"unhandled opcode {op}")
+    return f"regs[{dest}] = {value}" if dest is not None else ""
+
+
+def _issue(busy):
+    """``SMTCore._issue``: advance ``clock`` past the fetch stall and the
+    ROB slot at ``ri``.  ``busy`` spells the helper's busy-until cycle
+    (helper interference), or is None when no runtime is attached."""
+    cost = (f"busy_cost if {busy} > clock else issue_cost"
+            if busy is not None else "issue_cost")
+    return (f"clock += {cost}\nif clock < stall:\n    clock = stall\n"
+            "t = rob[ri]\nif clock < t:\n    clock = t")
+
+
+def _timing(op, spell, synthetic=False):
+    """Per-kind timing, leaving the completion time in ``c``:
+    ``_time_load`` (its outcome in the local ``o``), the store and prefetch
+    arms, branch resolve and ``_time_alu``."""
+    ra, dest = spell["ra"], spell["dest"]
+    if op in LOAD_OPCODES:
+        call = ("hier_load_syn(ea, int(a))" if synthetic
+                else f"hier_load({spell['pc']}, ea, int(a))")
+        return (f"a = clock\nt = ready[{ra}]\nif t > a:\n    a = t\n"
+                "t = loadq[li]\nif t > a:\n    a = t\n"
+                f"o = {call}\nc = a + o.latency\nloadq[li] = c\nli += 1\n"
+                f"if li == {_MEM_QUEUE}:\n    li = 0"
+                + (f"\nready[{dest}] = c" if dest is not None else ""))
+    if op is Opcode.STQ:
+        return (f"c = max(clock, ready[{ra}], ready[{spell['rd']}]) + 1\n"
+                "hier_store(ea, int(c))")
+    if op is Opcode.PREFETCH:
+        return (f"c = clock\nt = ready[{ra}]\nif t > c:\n    c = t\n"
+                "hier_prefetch(ea, int(c))")
+    if op in CONDITIONAL_BRANCHES or op is Opcode.JMP:
+        sources, latency, dest = (ra,), _INT_LATENCY, None
+    elif op in ALU_OPS or op is Opcode.LDA or op is Opcode.MOVE:
+        sources = (ra, spell["rb"])
+        latency = spell["lat"] if op in ALU_OPS else _alu_latency(op)
+    else:  # BR, NOP and HALT complete at issue.
+        return "c = clock"
+    text = "c = clock"
+    for src in sources:
+        if src is not None:
+            text += f"\nt = ready[{src}]\nif t > c:\n    c = t"
+    text += f"\nc += {latency}"
+    return text + (f"\nready[{dest}] = c" if dest is not None else "")
+
+
+def _predict(slot, stall):
+    """``_predict_branch``: update the 2-bit counter ``bp[slot]`` for
+    direction ``tk``; a mispredict stalls fetch (``stall`` spells it)
+    until resolve ``c`` plus the penalty."""
+    return (f"n = bp[{slot}]\nif tk:\n    if n < 3:\n"
+            f"        bp[{slot}] = n + 1\n"
+            f"elif n > 0:\n    bp[{slot}] = n - 1\n"
+            "if (n >= 2) != tk:\n    stats.branch_mispredicts += 1\n"
+            f"    {stall} = c + penalty")
+
+
+def _retire(cmax):
+    """``SMTCore._retire``: free the ROB slot at completion ``c``;
+    ``cmax`` spells the completion max."""
+    return (f"rob[ri] = c\nri += 1\nif ri == rob_len:\n    ri = 0\n"
+            f"if c > {cmax}:\n    {cmax} = c")
+
+
+def _indent(depth, text):
+    pad = "    " * depth
+    return "\n".join(pad + line if line else line
+                     for line in text.rstrip("\n").split("\n"))
+
+
+#: The core state every generated ``bind`` captures (lists and the stats
+#: object are mutated in place, never reassigned; see the module notes).
+_BINDINGS = """\
     ctx = core.ctx
     regs = ctx.regs
     ready = core._reg_ready
@@ -802,23 +314,217 @@ def bind(core, trace, live, consts, patch_get):
     loadq = core._loadq
     bp = core._bp_table
     stats = core.stats
-    runtime = core.runtime
-    helper = runtime.helper
-    queued = runtime.events._queue
-    tick = runtime.tick
-    on_trace_load = runtime.on_trace_load
     issue_cost = core._issue_cost
-    busy_cost = issue_cost * core.config.helper_interference
     penalty = core.config.mispredict_penalty
     read = core.memory.read
     read_quiet = core.memory.read_quiet
     write = core.memory.write
     hier_load = core.hierarchy.load
-    hier_load_syn = core.hierarchy.load_synthetic
     hier_store = core.hierarchy.store
     hier_prefetch = core.hierarchy.software_prefetch
-    finish = core._finish_trace
+"""
+
+#: ... and, when a runtime is attached, its helper and the trace entry.
+_RUNTIME_BINDINGS = """\
+    runtime = core.runtime
+    helper = runtime.helper
+    busy_cost = issue_cost * core.config.helper_interference
     enter = core._enter_trace
+"""
+
+#: Generated ``bind`` functions, keyed by their source: step templates
+#: and traces share one code object per distinct source (a sweep
+#: re-forms the same traces, and runs the same instruction shapes, in
+#: every cell of a workload).  A trace entry holds about 100 KB with its
+#: ``linecache`` lines, so the cache starts over past ``_BINDERS_MAX``
+#: entries; bound functions keep their code.
+_BINDERS: dict = {}
+_BINDERS_MAX = 256
+
+#: Globals of the generated code: the L1-hit kinds, the ALU tables a
+#: step binds from, and the ALU value functions, one name per opcode
+#: (``op_addq``) for traces.
+_GLOBALS = {
+    "HIT": _HIT,
+    "HIT_PF": _HIT_PF,
+    "ALU_OPS": ALU_OPS,
+    "alu_latency": _alu_latency,
+    **{f"op_{op.value}": fn for op, fn in ALU_OPS.items()},
+}
+
+
+def _binder(source, kind):
+    """The ``bind`` function of ``source``, compiled once per process."""
+    bind = _BINDERS.get(source)
+    if bind is None:
+        if len(_BINDERS) >= _BINDERS_MAX:
+            for old in _BINDERS.values():
+                linecache.cache.pop(old.__code__.co_filename, None)
+            _BINDERS.clear()
+        bind = _BINDERS[source] = _load_binder(source, kind)
+    return bind
+
+
+def _load_binder(source, kind):
+    """Compile ``source`` and return its ``bind``; the source is
+    registered with :mod:`linecache` as ``<kind digest>``, so tracebacks
+    and profilers show the generated lines."""
+    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
+    filename = f"<{kind} {digest}>"
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
+    )
+    namespace = dict(_GLOBALS)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]
+
+
+# ---------------------------------------------------------------------------
+# Original-program steps.  Each instruction's handler is a zero-argument
+# ``step`` rendered for its shape (``step_source``) and bound to the
+# instruction's operands and one core.  The body is the snippets above
+# plus a step-only tail: the scalar pipeline state is read from the core
+# and written back around them, then ``ctx.pc``, ``on_branch``, JMP's
+# fetch stall, HALT and the trace-entry probe.
+# ---------------------------------------------------------------------------
+#: The spelling of a step template's operands: closure variables.  The
+#: ALU ops differ only in ``fn`` and ``lat``, so they share templates.
+_STEP_OPERANDS = {"rd": "rd", "disp": "disp", "imm": "imm", "pc": "pc",
+                  "prefetch": "inst", "fn": "fn", "lat": "lat"}
+
+#: A step's operands, bound per instruction ...
+_OPERAND_BINDINGS = """\
+    ra = inst.ra
+    rb = inst.rb
+    rd = inst.rd
+    disp = inst.disp
+    imm = inst.imm
+    target = inst.target
+    nxt = pc + 1
+    slot = pc & 4095
+"""
+
+#: ... and an ALU op's value function and latency.
+_ALU_BINDINGS = """\
+    fn = ALU_OPS[inst.opcode]
+    lat = alu_latency(inst.opcode)
+"""
+
+#: A step's demand-load counters (``SMTCore._step_original``).
+_STEP_LOAD_STATS = """\
+stats.loads_executed += 1
+k = o.kind
+if k is not HIT and k is not HIT_PF:
+    stats.misses_total += 1
+    by_pc = stats.miss_count_by_pc
+    by_pc[pc] = by_pc.get(pc, 0) + 1"""
+
+#: Step template sources by shape, so an instruction costs a lookup.
+_STEP_SOURCES: dict = {}
+
+
+def step_shape(inst, runtime):
+    """The shape ``step_source`` renders ``inst``'s template from:
+    opcode, which registers it has, and whether a runtime is attached."""
+    rd = inst.rd
+    return (inst.opcode, inst.ra is not None, inst.rb is not None,
+            rd is not None and rd != 31, runtime)
+
+
+def step_source(op, has_ra, has_rb, writes, runtime):
+    """Python source of the ``bind(core, patch_get, pc, inst)`` function
+    that returns one original-program instruction's step handler.
+
+    The handler replicates ``SMTCore._step_original``; without a runtime
+    it has no helper-interference test, ``on_branch`` call or trace-entry
+    probe.
+    """
+    spell = dict(_STEP_OPERANDS, ra="ra" if has_ra else None,
+                 rb="rb" if has_rb else None, dest="rd" if writes else None)
+    branch = op in CONDITIONAL_BRANCHES
+    if op is Opcode.BR:
+        to = "target"
+    else:
+        to = "to" if branch or op is Opcode.JMP else "nxt"
+    body = ["to = int(regs[ra])" if op is Opcode.JMP else _execute(op, spell),
+            "clock = core._issue_clock\nstall = core._fetch_stall_until\n"
+            "ri = core._rob_idx",
+            _issue("helper.busy_until" if runtime else None),
+            "core._issue_clock = clock\nstats.committed += 1"]
+    if op in LOAD_OPCODES:
+        body += ["li = core._loadq_idx", _timing(op, spell),
+                 "core._loadq_idx = li", _STEP_LOAD_STATS]
+    elif branch:
+        body += ["stats.conditional_branches += 1", _timing(op, spell),
+                 _predict("slot", "core._fetch_stall_until"),
+                 "to = target if tk else nxt"]
+        if runtime:
+            body.append("runtime.on_branch(pc, tk, target, clock)")
+    else:
+        body.append(_timing(op, spell))
+        if op is Opcode.JMP:
+            body.append("core._fetch_stall_until = c + penalty")
+    body += [_retire("core._completion_max"), f"core._rob_idx = ri\n"
+             f"ctx.pc = {to}"]
+    if runtime and op is not Opcode.HALT:
+        # A halted step never enters a trace (_step_original's guard).
+        body.append(f"t = patch_get({to})\nif t is not None:\n"
+                    f"    enter(t, {to})")
+    alu = op in ALU_OPS
+    return (
+        f"def bind(core, patch_get, pc, inst):  # {'alu' if alu else op.value}"
+        f"\n{_BINDINGS}{_RUNTIME_BINDINGS if runtime else ''}"
+        f"{_OPERAND_BINDINGS}{_ALU_BINDINGS if alu else ''}\n    def step():\n"
+        + "\n".join(_indent(2, text) for text in body if text)
+        + "\n\n    return step\n"
+    )
+
+
+def compile_program(core):
+    """Return ``(handlers, block_len)`` for ``core.program``:
+    ``handlers[pc]`` is the step of the instruction at ``pc``, its shape's
+    template bound to the instruction and this core."""
+    instructions = core.program.instructions
+    runtime = core.runtime is not None
+    patch_get = _patch_lookup(core.runtime)
+    handlers = []
+    for pc, inst in enumerate(instructions):
+        shape = step_shape(inst, runtime)
+        source = _STEP_SOURCES.get(shape)
+        if source is None:
+            source = _STEP_SOURCES[shape] = step_source(*shape)
+        handlers.append(_binder(source, "step")(core, patch_get, pc, inst))
+    return handlers, block_lengths(instructions)
+
+
+# ---------------------------------------------------------------------------
+# Linked traces.  A trace body is straight-line code, so it runs as ONE
+# generated function per trace: ``trace_source`` renders the body from
+# the snippets above with every captured operand a literal,
+# ``compile_trace`` compiles each distinct source once per process and
+# binds the code to one core.  The function replicates
+# ``SMTCore._step_trace`` followed by the post-step sequence of
+# ``SMTCore._run_fast`` for every instruction, keeping the scalar
+# pipeline state and the trace's stat counters in locals between hook
+# calls.  Traces only execute under a runtime, so the
+# issue-interference check is unconditional here.
+# ---------------------------------------------------------------------------
+
+#: Per-core bindings (run once per trace per core), the helpers the
+#: generated code calls on its rare paths, and the run function's entry.
+#: ``{state}`` is the run function's locals that ``save`` writes back;
+#: ``save`` also records the trace index unless it is None (the trace
+#: has finished).
+_BIND_HEAD = (
+    "def bind(core, trace, live, consts, patch_get):\n"
+    + _BINDINGS
+    + _RUNTIME_BINDINGS
+    + """\
+    queued = runtime.events._queue
+    tick = runtime.tick
+    on_trace_load = runtime.on_trace_load
+    hier_load_syn = core.hierarchy.load_synthetic
+    finish = core._finish_trace
     injector = core.injector
     watchdog = core.watchdog
 
@@ -897,6 +603,7 @@ def bind(core, trace, live, consts, patch_get):
             busy = helper.busy_until
             stalled = helper.stalled_until
 """
+)
 
 #: Optional counters: (local name, ``CoreStats`` field).
 _COUNTERS = (
@@ -904,24 +611,6 @@ _COUNTERS = (
     ("loads", "loads_executed"),
     ("branches", "conditional_branches"),
 )
-
-_ISSUE = """\
-clock += busy_cost if busy > clock else issue_cost
-if clock < stall:
-    clock = stall
-t = rob[ri]
-if clock < t:
-    clock = t
-"""
-
-_RETIRE = """\
-rob[ri] = c
-ri += 1
-if ri == rob_len:
-    ri = 0
-if c > cmax:
-    cmax = c
-"""
 
 #: ``_run_fast``'s ``runtime.tick`` guard on the helper state locals.
 _TICK = """\
@@ -945,28 +634,8 @@ def compile_trace(core, trace):
         injector=core.injector is not None,
         watchdog=core.watchdog is not None,
     )
-    bind = _TRACE_BINDERS.get(source)
-    if bind is None:
-        if len(_TRACE_BINDERS) >= _TRACE_BINDERS_MAX:
-            for old in _TRACE_BINDERS.values():
-                linecache.cache.pop(old.__code__.co_filename, None)
-            _TRACE_BINDERS.clear()
-        bind = _TRACE_BINDERS[source] = _load_binder(source)
+    bind = _binder(source, "trace")
     return bind(core, trace, live, consts, _patch_lookup(core.runtime))
-
-
-def _load_binder(source):
-    """Compile ``source`` and return its ``bind``; the source is
-    registered with :mod:`linecache` so tracebacks and profilers show
-    the generated lines."""
-    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
-    filename = f"<trace {digest}>"
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename
-    )
-    namespace = dict(_TRACE_GLOBALS)
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["bind"]
 
 
 def trace_source(body, fallthrough_pc, injector, watchdog):
@@ -1004,9 +673,8 @@ def trace_source(body, fallthrough_pc, injector, watchdog):
     out = []
 
     def emit(depth, text):
-        pad = "    " * depth
-        out.extend(pad + line if line else line
-                   for line in text.rstrip("\n").split("\n"))
+        if text:
+            out.append(_indent(depth, text))
 
     def hooks(idx, budget):
         """The post-step sequence of ``_run_fast``, then its budget test
@@ -1033,64 +701,40 @@ def trace_source(body, fallthrough_pc, injector, watchdog):
         orig_pc = tinst.orig_pc
         syn = tinst.synthetic
         ra, rb, rd = inst.ra, inst.rb, inst.rd
-        last = idx == len(body) - 1
+        spell = {
+            "ra": None if ra is None else repr(ra),
+            "rb": None if rb is None else repr(rb),
+            "rd": repr(rd),
+            "dest": repr(rd) if rd is not None and rd != 31 else None,
+            "disp": lit(inst.disp),
+            "imm": lit(inst.imm),
+            "pc": repr(orig_pc),
+            "fn": f"op_{op.value}",
+            "lat": repr(_alu_latency(op)),
+        }
+        if op is Opcode.PREFETCH:
+            live.append(inst)
+            spell["prefetch"] = f"live[{len(live) - 1}]"
+        branch = op in CONDITIONAL_BRANCHES or op is Opcode.JMP
         emit(3, f"if start <= {idx}:")
         emit(4, f"# {idx}: {op.value} @ pc {orig_pc}"
                 + (" (synthetic)" if syn else ""))
-        count = "synthetic += 1" if syn else "committed += 1"
+        # _step_trace routes JMP through the conditional-branch arm
+        # (always taken).
+        emit(4, "tk = True" if op is Opcode.JMP else _execute(op, spell))
+        emit(4, _issue("busy"))
+        emit(4, "synthetic += 1" if syn else "committed += 1")
+        if branch:
+            emit(4, "branches += 1")
+        emit(4, _timing(op, spell, syn))
+        if op in LOAD_OPCODES and not syn:
+            emit(4, "loads += 1\nk = o.kind\n"
+                    "if k is not HIT and k is not HIT_PF:\n"
+                    f"    missed({orig_pc})\n"
+                    f"on_trace_load({orig_pc}, trace, ea, o, a)")
         exit_test = None
-        # Functional execute, issue, count, per-kind timing, retire:
-        # the order of the per-kind factories this replaces.
-        if op in LOAD_OPCODES:
-            reader = "read_quiet" if op is Opcode.LDQ_NF else "read"
-            emit(4, f"ea = int(regs[{ra}]) + {lit(inst.disp)}")
-            if rd != 31:
-                emit(4, f"regs[{rd}] = {reader}(ea)")
-            emit(4, _ISSUE + count)
-            emit(4, f"a = clock\nt = ready[{ra}]\nif t > a:\n    a = t\n"
-                    "t = loadq[li]\nif t > a:\n    a = t")
-            if syn:
-                emit(4, "o = hier_load_syn(ea, int(a))")
-            else:
-                emit(4, f"o = hier_load({orig_pc}, ea, int(a))")
-            emit(4, f"c = a + o.latency\nloadq[li] = c\nli += 1\n"
-                    f"if li == {_MEM_QUEUE}:\n    li = 0")
-            if rd is not None and rd != 31:
-                emit(4, f"ready[{rd}] = c")
-            if not syn:
-                emit(4, "loads += 1\nk = o.kind\n"
-                        "if k is not HIT and k is not HIT_PF:\n"
-                        f"    missed({orig_pc})\n"
-                        f"on_trace_load({orig_pc}, trace, ea, o, a)")
-        elif op is Opcode.STQ:
-            emit(4, f"ea = int(regs[{ra}]) + {lit(inst.disp)}\n"
-                    f"write(ea, regs[{rd}])")
-            emit(4, _ISSUE + count)
-            emit(4, f"c = max(clock, ready[{ra}], ready[{rd}]) + 1\n"
-                    "hier_store(ea, int(c))")
-        elif op is Opcode.PREFETCH:
-            live.append(inst)
-            emit(4, f"ea = int(regs[{ra}]) + live[{len(live) - 1}].disp"
-                    "  # repairs patch disp")
-            emit(4, _ISSUE + count)
-            emit(4, f"c = clock\nt = ready[{ra}]\nif t > c:\n    c = t\n"
-                    "hier_prefetch(ea, int(c))")
-        elif op in CONDITIONAL_BRANCHES or op is Opcode.JMP:
-            # _step_trace routes JMP through the conditional-branch arm
-            # (always taken).
-            if op is Opcode.JMP:
-                emit(4, "tk = True")
-            else:
-                emit(4, f"tk = regs[{ra}] {_COND_TEST[op]}")
-            emit(4, _ISSUE + count + "\nbranches += 1")
-            slot = orig_pc & 4095
-            emit(4, f"c = clock\nt = ready[{ra}]\nif t > c:\n    c = t\n"
-                    f"c += {_INT_LATENCY}\nn = bp[{slot}]\nif tk:\n"
-                    f"    if n < 3:\n        bp[{slot}] = n + 1\n"
-                    f"elif n > 0:\n    bp[{slot}] = n - 1\n"
-                    "if (n >= 2) != tk:\n"
-                    "    stats.branch_mispredicts += 1\n"
-                    "    stall = c + penalty")
+        if branch:
+            emit(4, _predict(orig_pc & 4095, "stall"))
             expected = tinst.expected_taken
             fall = orig_pc + 1
             if expected is True:
@@ -1100,33 +744,7 @@ def trace_source(body, fallthrough_pc, injector, watchdog):
             else:
                 exit_test = f"tk != {expected!r}"
                 exit_pc = f"{inst.target} if tk else {fall}"
-        elif op is Opcode.HALT:
-            emit(4, "ctx.halted = True")
-            emit(4, _ISSUE + count + "\nc = clock")
-        else:
-            # BR and NOP complete at issue; LDA, MOVE and the ALU ops go
-            # through ALU timing.
-            if op is Opcode.LDA:
-                if rd != 31:
-                    emit(4, f"regs[{rd}] = int(regs[{ra}]) + {lit(inst.disp)}")
-            elif op is Opcode.MOVE:
-                if rd != 31:
-                    emit(4, f"regs[{rd}] = regs[{ra}]")
-            elif op in ALU_OPS:
-                b = f"regs[{rb}]" if rb is not None else lit(inst.imm)
-                value = f"op_{op.value}(regs[{ra}], {b})"
-                emit(4, f"regs[{rd}] = {value}" if rd != 31 else value)
-            elif op is not Opcode.BR and op is not Opcode.NOP:
-                raise ValueError(f"unhandled opcode {op}")
-            emit(4, _ISSUE + count + "\nc = clock")
-            if op is not Opcode.BR and op is not Opcode.NOP:
-                for src in (ra, rb):
-                    if src is not None:
-                        emit(4, f"t = ready[{src}]\nif t > c:\n    c = t")
-                emit(4, f"c += {_alu_latency(op)}")
-                if rd is not None and rd != 31:
-                    emit(4, f"ready[{rd}] = c")
-        emit(4, _RETIRE)
+        emit(4, _retire("cmax"))
 
         if op is Opcode.HALT:
             # Drop the trace without finishing it (no obs emit, no
@@ -1137,7 +755,7 @@ def trace_source(body, fallthrough_pc, injector, watchdog):
         if exit_test is not None:
             emit(4, f"if {exit_test}:\n"
                     f"    return left({exit_pc}, False, until, {state})")
-        if last:
+        if idx == len(body) - 1:
             emit(4, f"until = left({fallthrough_pc}, True, until, {state})\n"
                     "if committed >= budget or core._trace is not trace:\n"
                     "    return until\nstart = 0")
@@ -1159,12 +777,12 @@ def trace_source(body, fallthrough_pc, injector, watchdog):
 # ---------------------------------------------------------------------------
 # Batched basic blocks.  The batched loop in ``SMTCore._run_fast`` (taken
 # only when neither a runtime nor an injector needs per-step hooks) can
-# go one step further than calling per-instruction closures in sequence:
+# go one step further than calling per-instruction steps in sequence:
 # a straight-line run of pure-register instructions touches no memory,
 # no control flow, and no hook, so the scalar pipeline state
 # (``_issue_clock``, ``_rob_idx``, ``_completion_max``, the fetch stall)
 # can live in locals for the whole run and be written back once.  That
-# removes the per-instruction closure call and every per-instruction
+# removes the per-instruction step call and every per-instruction
 # ``core.<attr>`` read/write, while performing the *identical* float
 # arithmetic in the identical order.
 #
@@ -1266,7 +884,7 @@ def _compile_batch(core, pc, insts):
             inst.imm,
             inst.disp,
             _alu_latency(op),
-            rd != 31,                       # fwrites (as _orig_reg_op)
+            rd != 31,                       # fwrites (functional write)
             rd is not None and rd != 31,    # twrites
             inst.ra is not None,
             inst.rb is not None,

@@ -2,8 +2,10 @@
 
 ``SMTCore`` has two interpreters: the reference stepper
 (``_run_slow`` / ``_step_original`` / ``_step_trace``) and the decoded
-fast path (``fastpath.py`` handler closures plus batched basic blocks).
-Everything observable must be byte-identical between them:
+fast path (``fastpath.py``: per-instruction steps rendered from one
+template per instruction shape, one generated function per linked
+trace, and batched basic blocks).  Everything observable must be
+byte-identical between them:
 
 * the full ``SimulationResult.to_dict()`` payload, for every registered
   workload and every prefetch policy,

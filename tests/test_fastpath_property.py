@@ -13,22 +13,44 @@ this hammers the riskiest transformation (loop-carried scalar pipeline
 state, deferred ``stats.committed``) harder than the fixed workloads
 can.  A second property re-runs each program under a random instruction
 budget, forcing the mid-block clamp fallback.
+
+Two more properties add control flow — conditional branches, BR, JMP
+and HALT to random labels, so programs loop — and run every step
+template: once on a core without a runtime, and once on a core carrying
+a ``TridentRuntime`` with a quick helper thread.  There the runtime
+variant of each step (helper interference, ``on_branch`` arguments and
+the trace-entry probe) runs against ``fast=False``; hot branches form
+and link traces, so the generated trace code runs too.  Every
+``on_branch`` call and the runtime's counters are compared as well.
+
+The example budget of every property scales with
+``REPRO_FUZZ_EXAMPLES`` like the other oracles (CI runs 200).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import MachineConfig
+from repro.config import MachineConfig, PrefetchPolicy, TridentConfig
 from repro.cpu.core import SMTCore
 from repro.isa.assembler import Assembler
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.mainmem import DataMemory
+from repro.trident.runtime import TridentRuntime
+
+FUZZ_EXAMPLES = os.environ.get("REPRO_FUZZ_EXAMPLES")
+
+
+def _examples(default):
+    return int(FUZZ_EXAMPLES) if FUZZ_EXAMPLES else default
+
 
 REGS = [f"r{i}" for i in range(1, 9)]
 ADDR_REG = "r9"  # always holds BASE: loads/stores stay in a mapped region
+JMP_REG = "r10"  # set to the jump's target PC just before each JMP
 BASE = 0x10000
 
 _regs = st.sampled_from(REGS)
@@ -64,15 +86,59 @@ _instructions = st.one_of(
 
 programs = st.lists(_instructions, min_size=0, max_size=48)
 
+#: A label index: the op the branch goes to (``len(ops)`` is the loop
+#: tail).  Indices past the end are clamped when the program is built.
+_labels = st.integers(min_value=0, max_value=32)
+
+_cond = st.tuples(st.just("cond"),
+                  st.sampled_from(["beq", "bne", "blt", "bge"]),
+                  _regs, _labels)
+_jmp = st.tuples(st.just("jmp"), _labels)
+# A HALT ends the run, so it is drawn least often.
+_control = st.one_of(_cond, _cond, _cond, _cond, _jmp, _jmp,
+                     st.tuples(st.just("br"), _labels),
+                     st.tuples(st.just("halt"),))
+
+#: Loop bodies with control flow: mostly straight-line ops, so branches
+#: between runs of work get hot.
+branchy_programs = st.lists(
+    st.one_of(_instructions, _instructions, _instructions, _control),
+    min_size=1, max_size=32,
+)
+
+LOOP_REG = "r11"  # counts the body's iterations down
+LOOPS = 60
+_CONTROL = ("cond", "br", "jmp", "halt")
+
 
 def _build(ops):
+    """Straight-line ``ops`` run once and halt.  With control flow they
+    are a loop body run ``LOOPS`` times (branches may go anywhere in it,
+    so inner loops can spin until the budget ends)."""
+    looping = any(op[0] in _CONTROL for op in ops)
     asm = Assembler("prop")
     asm.li(ADDR_REG, BASE)
     for i, reg in enumerate(REGS):
         asm.li(reg, (i * 37 + 11) % 251)
+    if looping:
+        asm.li(LOOP_REG, LOOPS)
+    # Op i starts at pcs[i]; a JMP takes two instructions (li + jmp).
+    pcs = [asm.here]
     for op in ops:
+        pcs.append(pcs[-1] + (2 if op[0] == "jmp" else 1))
+    for i, op in enumerate(ops):
+        asm.label(f"op{i}")
         kind = op[0]
-        if kind in ("alu", "cmp"):
+        if kind == "cond":
+            getattr(asm, op[1])(op[2], f"op{min(op[3], len(ops))}")
+        elif kind == "br":
+            asm.br(f"op{min(op[1], len(ops))}")
+        elif kind == "jmp":
+            asm.li(JMP_REG, pcs[min(op[1], len(ops))])
+            asm.jmp(JMP_REG)
+        elif kind == "halt":
+            asm.halt()
+        elif kind in ("alu", "cmp"):
             _, name, rd, ra, b = op
             if isinstance(b, str):
                 getattr(asm, name)(rd, ra, rb=b)
@@ -95,6 +161,10 @@ def _build(ops):
             asm.move(op[1], op[2])
         else:
             asm.nop()
+    asm.label(f"op{len(ops)}")
+    if looping:
+        asm.subq(LOOP_REG, LOOP_REG, imm=1)
+        asm.bne(LOOP_REG, "op0")
     asm.halt()
     return asm.build()
 
@@ -121,14 +191,50 @@ def _run(program, fast, budget=10_000):
     return _snapshot(core, memory, hierarchy)
 
 
-@settings(max_examples=60, deadline=None)
+class _LoggedRuntime(TridentRuntime):
+    """A Trident runtime that records every ``on_branch`` call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.branch_log = []
+
+    def on_branch(self, pc, taken, target, cycle):
+        self.branch_log.append((pc, taken, target, cycle))
+        super().on_branch(pc, taken, target, cycle)
+
+
+def _run_with_runtime(program, fast, budget, interference):
+    # A quick helper thread, so hot branches form and link traces (and
+    # the helper is busy, slowing issue) within a small budget.
+    config = MachineConfig(helper_interference=interference,
+                           helper_startup_cycles=20)
+    trident = TridentConfig(optimizer_cycles_per_instruction=1)
+    memory = DataMemory()
+    hierarchy = MemoryHierarchy(config)
+    runtime = _LoggedRuntime(program, config, trident,
+                             PrefetchPolicy.SELF_REPAIRING)
+    core = SMTCore(program, memory, hierarchy, config, runtime, fast=fast)
+    core.run(budget)
+    state = _snapshot(core, memory, hierarchy)
+    state["runtime"] = {
+        "branches": runtime.branch_log,
+        "formed": runtime.traces_formed,
+        "linked": runtime.traces_linked,
+        "helper": (runtime.helper.jobs_run, runtime.helper.busy_until,
+                   runtime.helper.total_busy_cycles),
+        "events": len(runtime.events),
+    }
+    return repr(state)
+
+
+@settings(max_examples=_examples(60), deadline=None)
 @given(ops=programs)
 def test_random_straight_line_identical(ops):
     program = _build(ops)
     assert _run(program, fast=True) == _run(program, fast=False)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=_examples(60), deadline=None)
 @given(ops=programs, budget=st.integers(min_value=1, max_value=40))
 def test_random_budget_truncation_identical(ops, budget):
     """A budget landing mid-block must clamp to the per-instruction
@@ -136,4 +242,32 @@ def test_random_budget_truncation_identical(ops, budget):
     program = _build(ops)
     assert _run(program, fast=True, budget=budget) == _run(
         program, fast=False, budget=budget
+    )
+
+
+@settings(max_examples=_examples(60), deadline=None, derandomize=True)
+@given(ops=branchy_programs, budget=st.integers(min_value=1, max_value=400))
+def test_random_control_flow_identical(ops, budget):
+    """Every step template without a runtime, control flow included,
+    inside and between batched blocks."""
+    program = _build(ops)
+    assert _run(program, fast=True, budget=budget) == _run(
+        program, fast=False, budget=budget
+    )
+
+
+@settings(max_examples=_examples(60), deadline=None, derandomize=True)
+@given(
+    ops=branchy_programs,
+    budget=st.integers(min_value=1, max_value=1500),
+    interference=st.sampled_from([1.05, 1.0, 2.0]),
+)
+def test_random_control_flow_with_runtime_identical(ops, budget,
+                                                    interference):
+    """The runtime variant of every step template against the
+    reference stepper: helper interference, ``on_branch`` arguments and
+    trace entry."""
+    program = _build(ops)
+    assert _run_with_runtime(program, True, budget, interference) == (
+        _run_with_runtime(program, False, budget, interference)
     )

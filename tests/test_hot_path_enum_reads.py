@@ -8,7 +8,11 @@ bound to module constants instead (DESIGN.md §5c‴).  This test parses
 each function's source and fails on any attribute read of an Enum class
 named in ``ENUM_CLASSES``.  The generated code of a linked trace runs
 once per trace instruction, so the source rendered for a trace with
-every kind of trace instruction is checked the same way.
+every kind of trace instruction is checked the same way, and so is
+every original-program step template (each instruction shape, with and
+without a runtime).  The step bodies' ``core.``/``stats.`` attribute
+reads and writes are pinned too: a template must touch exactly the
+core state the hand-written handler it replaced touched.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import textwrap
 import pytest
 
 from repro.config import PrefetchPolicy
-from repro.cpu.fastpath import trace_source
+from repro.cpu.executor import ALU_OPS
+from repro.cpu.fastpath import step_source, trace_source
 from repro.hwprefetch.stream_buffer import StreamBufferPrefetcher
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import CONDITIONAL_BRANCHES, LOAD_OPCODES, Opcode
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.stats import LoadOutcome, MemoryStats
 from repro.trident.dlt import DelinquentLoadTable
@@ -115,3 +120,87 @@ def test_no_enum_member_reads_in_generated_trace_code(injector):
     )
     compile(source, "<trace>", "exec")
     assert enum_reads(source) == []
+
+
+def _step_shapes():
+    """Every instruction shape a program can hold, as ``step_source``
+    arguments: registers as the assembler sets them, a result register
+    that is r31 or not, with and without a runtime."""
+    for op in Opcode:
+        has_ra = op not in (Opcode.BR, Opcode.NOP, Opcode.HALT)
+        writes = (op in ALU_OPS or op in LOAD_OPCODES
+                  or op in (Opcode.LDA, Opcode.MOVE))
+        for has_rb in (False, True) if op in ALU_OPS else (False,):
+            for dest in (False, True) if writes else (False,):
+                for runtime in (False, True):
+                    yield op, has_ra, has_rb, dest, runtime
+
+
+def _shape_id(shape):
+    op, _, has_rb, dest, runtime = shape
+    return "-".join([op.value] + ["rb"] * has_rb + ["rd"] * dest
+                    + ["runtime"] * runtime)
+
+
+STEP_SHAPES = list(_step_shapes())
+
+
+@pytest.mark.parametrize("shape", STEP_SHAPES, ids=_shape_id)
+def test_no_enum_member_reads_in_step_templates(shape):
+    source = step_source(*shape)
+    compile(source, "<step>", "exec")
+    assert enum_reads(source) == []
+
+
+#: The ``core.``/``stats.`` accesses inside the step handlers the
+#: templates replaced (read ``r``, written ``w``; an augmented assignment
+#: is a write), recorded from them before they were deleted.  Every
+#: shape shares the issue and retire state.
+_COMMON = {
+    ("core._issue_clock", "r"), ("core._issue_clock", "w"),
+    ("core._fetch_stall_until", "r"),
+    ("core._rob_idx", "r"), ("core._rob_idx", "w"),
+    ("core._completion_max", "r"), ("core._completion_max", "w"),
+    ("stats.committed", "w"),
+}
+_LOAD = _COMMON | {
+    ("core._loadq_idx", "r"), ("core._loadq_idx", "w"),
+    ("stats.loads_executed", "w"), ("stats.misses_total", "w"),
+    ("stats.miss_count_by_pc", "r"),
+}
+_COND_BRANCH = _COMMON | {
+    ("core._fetch_stall_until", "w"),
+    ("stats.conditional_branches", "w"), ("stats.branch_mispredicts", "w"),
+}
+_JMP = _COMMON | {("core._fetch_stall_until", "w")}
+
+
+def _expected_state_access(op):
+    if op in LOAD_OPCODES:
+        return _LOAD
+    if op in CONDITIONAL_BRANCHES:
+        return _COND_BRANCH
+    if op is Opcode.JMP:
+        return _JMP
+    return _COMMON
+
+
+def _state_access(source):
+    """``core.``/``stats.`` reads and writes inside the ``step`` body."""
+    step = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == "step")
+    return {
+        (f"{node.value.id}.{node.attr}",
+         "r" if isinstance(node.ctx, ast.Load) else "w")
+        for node in ast.walk(step)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("core", "stats")
+    }
+
+
+@pytest.mark.parametrize("shape", STEP_SHAPES, ids=_shape_id)
+def test_step_templates_touch_the_replaced_handlers_state(shape):
+    assert _state_access(step_source(*shape)) == _expected_state_access(
+        shape[0]
+    )

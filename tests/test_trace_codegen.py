@@ -445,26 +445,90 @@ def test_second_core_reuses_code_and_binds_its_own_state():
     assert cells[0]["regs"] is not cells[1]["regs"]
 
 
+def _count_compiles(monkeypatch):
+    """Start the binder cache empty; the kinds of the sources it
+    compiles from now on, in order."""
+    monkeypatch.setattr(fastpath, "_BINDERS", {})
+    compiled = []
+    real = fastpath._load_binder
+
+    def load(source, kind):
+        compiled.append(kind)
+        return real(source, kind)
+
+    monkeypatch.setattr(fastpath, "_load_binder", load)
+    return compiled
+
+
 def test_compiles_each_source_once(monkeypatch):
     program = _loop_program()
     config = MachineConfig()
-    monkeypatch.setattr(fastpath, "_TRACE_BINDERS", {})
-    compiled = []
-    real = fastpath._load_binder
-    monkeypatch.setattr(fastpath, "_load_binder",
-                        lambda source: compiled.append(source) or real(source))
+    compiled = _count_compiles(monkeypatch)
     for _ in range(3):
         trace = form_trace(program, 2, [True], TridentConfig())
         SMTCore(program, DataMemory(), MemoryHierarchy(config), config,
                 _Runtime(trace)).run(50)
-    assert len(compiled) == 1
+    assert compiled.count("trace") == 1
+
+
+def _sources(program, runtime):
+    """The distinct step templates ``program`` needs."""
+    return {fastpath.step_source(*fastpath.step_shape(inst, runtime))
+            for inst in program.instructions}
+
+
+def test_compiles_each_step_source_once(monkeypatch):
+    """Each distinct step template compiles once per process: a second
+    core, and a second program sharing some of its templates, reuse it."""
+    compiled = _count_compiles(monkeypatch)
+    config = MachineConfig()
+    first = _loop_program()
+    second = _program()
+    cores = []
+    for program in (first, first, second):
+        core = SMTCore(program, DataMemory(), MemoryHierarchy(config),
+                       config)
+        core.run(40)
+        cores.append(core)
+    shared = _sources(first, False) & _sources(second, False)
+    assert shared
+    assert compiled == ["step"] * len(_sources(first, False)
+                                      | _sources(second, False))
+    assert (cores[0]._fast_handlers[2].__code__
+            is cores[1]._fast_handlers[2].__code__)
+    # A core with a runtime renders the runtime variant of each shape.
+    trace = form_trace(first, 2, [True], TridentConfig())
+    SMTCore(first, DataMemory(), MemoryHierarchy(config), config,
+            _Runtime(trace)).run(40)
+    assert compiled.count("step") == len(
+        _sources(first, False) | _sources(second, False)
+    ) + len(_sources(first, True))
+
+
+def test_evicting_a_step_source_drops_its_lines(monkeypatch):
+    import linecache
+
+    monkeypatch.setattr(fastpath, "_BINDERS", {})
+    monkeypatch.setattr(fastpath, "_BINDERS_MAX", 1)
+    config = MachineConfig()
+    core = SMTCore(_loop_program(), DataMemory(), MemoryHierarchy(config),
+                   config)
+    core.run(20)
+    names = {handler.__code__.co_filename
+             for handler in core._fast_handlers}
+    assert len(names) == len(_sources(core.program, False)) > 1
+    assert all(name.startswith("<step ") for name in names)
+    kept = [name for name in names if name in linecache.cache]
+    assert len(kept) == len(fastpath._BINDERS) == 1
+    core.run(200)   # bound steps outlive their cache entries
+    assert core.stats.committed == 200
 
 
 def test_binder_cache_starts_over_when_full(monkeypatch):
     import linecache
 
-    monkeypatch.setattr(fastpath, "_TRACE_BINDERS", {})
-    monkeypatch.setattr(fastpath, "_TRACE_BINDERS_MAX", 1)
+    monkeypatch.setattr(fastpath, "_BINDERS", {})
+    monkeypatch.setattr(fastpath, "_BINDERS_MAX", 1)
     config = MachineConfig()
     cores = []
     program = _loop_program(300)
@@ -477,7 +541,7 @@ def test_binder_cache_starts_over_when_full(monkeypatch):
         cores.append(core)
     first, second = (core._trace_run.__code__.co_filename for core in cores)
     assert first != second
-    assert len(fastpath._TRACE_BINDERS) == 1
+    assert len(fastpath._BINDERS) == 1
     assert first not in linecache.cache and second in linecache.cache
     cores[0].run(200)   # a bound function outlives its cache entry
     assert cores[0].stats.committed == 200
@@ -487,7 +551,7 @@ def test_generated_lines_show_in_tracebacks(monkeypatch):
     import linecache
     import traceback
 
-    monkeypatch.setattr(fastpath, "_TRACE_BINDERS", {})
+    monkeypatch.setattr(fastpath, "_BINDERS", {})
     program = _loop_program()
     config = MachineConfig()
     trace = form_trace(program, 2, [True], TridentConfig())
