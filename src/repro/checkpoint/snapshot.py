@@ -25,7 +25,7 @@ both:
   difference into the bytes.  (The simulation itself never iterates its
   persisted sets in a timing-relevant order; the property tests hold
   capture idempotence to byte equality.)  :func:`capture` applies these
-  rules on the C pickler (:class:`_SnapshotPickler`, format 4): strings
+  rules on the C pickler (:class:`_SnapshotPickler`, since format 4): strings
   travel as persistent ids of their UTF-8 bytes, and sets and packed
   numeric bulk as persistent ids with identity tokens.
   :func:`canonical_dumps` is the same canonical form written by the
@@ -82,8 +82,9 @@ from ..memory.mainmem import DataMemory
 from ..workloads.registry import shared_workload
 
 #: Bumped whenever the frame layout or the pickled object graph changes
-#: incompatibly; part of the header, checked on load.
-FORMAT_VERSION = 4
+#: incompatibly; part of the header, checked on load.  (5: image digests
+#: are SHA-256, so a format-4 snapshot's digest never matches.)
+FORMAT_VERSION = 5
 
 #: Frame magic ("RePro ChecKpoint").
 MAGIC = b"RPCK"

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..config import MachineConfig
+from ..faults.watchdog import Watchdog
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
 from ..memory.hierarchy import MemoryHierarchy
@@ -92,6 +93,8 @@ class SMTCore:
         config: MachineConfig,
         runtime: Optional[object] = None,
         fast: bool = True,
+        injector: Optional[object] = None,
+        watchdog: Optional[Watchdog] = None,
     ) -> None:
         self.program = program
         self.memory = memory
@@ -102,11 +105,12 @@ class SMTCore:
         #: ``fast=False`` keeps the generic step loop; both paths are
         #: byte-identical (tests/test_fastpath_equivalence.py).
         self.fast = fast
-        #: Resilience hooks (repro.faults), injected by the Simulation:
-        #: a FaultInjector ticked every step, and a Watchdog checked every
-        #: ``watchdog.check_interval`` steps.  Both optional and duck-typed.
-        self.injector: Optional[object] = None
-        self.watchdog: Optional[object] = None
+        #: Resilience hooks (repro.faults): an optional FaultInjector
+        #: ticked every step, and a Watchdog checked every
+        #: ``watchdog.check_interval`` steps (by default one that only
+        #: catches commit stalls).
+        self.injector = injector
+        self.watchdog = watchdog if watchdog is not None else Watchdog()
         #: Observability hook (repro.obs): one attribute check per emit
         #: site when disabled.  Consecutive entries of the same trace
         #: collapse to one event so hot loops don't flood the ring.
@@ -136,12 +140,12 @@ class SMTCore:
         self._trace_idx = 0
         self._trace_entry_issue = 0.0
 
-        # Fast-path state: per-PC decoded handlers + basic-block run
-        # lengths for the program (built lazily on the first run), and
-        # the generated run function of the currently-executing trace.
+        # Fast-path state: per-PC decoded handlers and, for a core
+        # without per-step hooks, basic-block run lengths (both built
+        # lazily on the first run), and the generated run function of
+        # the currently-executing trace.
         self._fast_handlers = None
         self._fast_block_len = None
-        self._fast_batches = None
         self._trace_run = None
 
     # ------------------------------------------------------------------
@@ -152,7 +156,6 @@ class SMTCore:
     _VOLATILE = (
         "_fast_handlers",
         "_fast_block_len",
-        "_fast_batches",
         "_trace_run",
     )
 
@@ -265,14 +268,13 @@ class SMTCore:
         ahead, so draining at a chunk boundary would install fills
         earlier than an unchunked run and fork the cache state.
 
-        Raises :class:`~repro.errors.SimulationStallError` when an armed
+        Raises :class:`~repro.errors.SimulationStallError` when the
         watchdog sees a commit stall or an exhausted cycle or wall-time
         budget.
         """
         watchdog = self.watchdog
-        if watchdog is not None:
-            watchdog.start()
-            watchdog.reset_progress()
+        watchdog.start()
+        watchdog.reset_progress()
         if self.fast:
             self._run_fast(max_instructions)
         else:
@@ -286,9 +288,7 @@ class SMTCore:
         stats = self.stats
         injector = self.injector
         watchdog = self.watchdog
-        steps_until_check = 0
-        if watchdog is not None:
-            steps_until_check = watchdog.check_interval
+        steps_until_check = watchdog.check_interval
         while not self.ctx.halted and stats.committed < budget:
             if self._trace is not None:
                 self._step_trace()
@@ -299,11 +299,10 @@ class SMTCore:
                 runtime.tick(self._issue_clock)
             if injector is not None:
                 injector.tick(self._issue_clock, stats.committed)
-            if watchdog is not None:
-                steps_until_check -= 1
-                if steps_until_check <= 0:
-                    steps_until_check = watchdog.check_interval
-                    watchdog.check(stats.committed, self.cycles)
+            steps_until_check -= 1
+            if steps_until_check <= 0:
+                steps_until_check = watchdog.check_interval
+                watchdog.check(stats.committed, self.cycles)
 
     def _run_fast(self, budget: int) -> None:
         """Pre-decoded dispatch loop; see :mod:`repro.cpu.fastpath`.
@@ -324,11 +323,11 @@ class SMTCore:
         A linked trace runs as one call of its generated function
         (``fastpath.compile_trace``), which runs the same sequence after
         each of its instructions and returns the watchdog countdown.
-        Without them, straight-line runs of pure-register instructions
-        execute as a batch: no memory, branch, or hook can fire inside
-        a batch, and the watchdog clamp below makes every
-        ``watchdog.check`` land on the exact step it would have in the
-        per-step loop.
+        Without them, the handlers of a basic block
+        (``fastpath.compile_batches``) run in one ``for`` loop with no
+        hook between them; the run is clamped to the budget and to the
+        next watchdog check, so every ``watchdog.check`` lands on the
+        exact step it would have in the per-step loop.
         """
         ctx = self.ctx
         stats = self.stats
@@ -337,21 +336,17 @@ class SMTCore:
         watchdog = self.watchdog
         handlers = self._fast_handlers
         if handlers is None:
-            handlers, self._fast_block_len = compile_program(self)
-            self._fast_handlers = handlers
-        check_interval = 0
-        steps_until_check = 0
-        if watchdog is not None:
-            check_interval = watchdog.check_interval
-            steps_until_check = check_interval
+            handlers = self._fast_handlers = compile_program(self)
+        check_interval = watchdog.check_interval
+        steps_until_check = check_interval
 
         if runtime is not None or injector is not None:
             if runtime is not None:
                 helper = runtime.helper
                 queued = runtime.events._queue
-            if self._trace is not None:
-                # A binding made before the injector or watchdog was
-                # attached (or none, after a plain unpickle) is stale.
+            if self._trace is not None and self._trace_run is None:
+                # A plain unpickle drops the binding (checkpoint.restore
+                # rebinds it).
                 self._trace_run = self._bind_trace(self._trace)
             while not ctx.halted and stats.committed < budget:
                 if self._trace is not None:
@@ -370,49 +365,31 @@ class SMTCore:
                         runtime.tick(clock)
                 if injector is not None:
                     injector.tick(self._issue_clock, stats.committed)
-                if watchdog is not None:
-                    steps_until_check -= 1
-                    if steps_until_check <= 0:
-                        steps_until_check = check_interval
-                        watchdog.check(stats.committed, self.cycles)
+                steps_until_check -= 1
+                if steps_until_check <= 0:
+                    steps_until_check = check_interval
+                    watchdog.check(stats.committed, self.cycles)
             return
 
-        # No per-step hooks: batched basic-block execution.  (Traces
-        # cannot be active here — entering one requires a runtime.)
-        # A block entered at its leader runs whole as one closure that
-        # keeps the scalar pipeline state in locals (see fastpath.
-        # compile_batches); clamped runs — budget tail or a watchdog
-        # boundary — and the rest of a block entered mid-way after one
-        # step the per-instruction handlers.
+        # No per-step hooks, so no trace either (entering one needs a
+        # runtime): step a basic block's handlers in one loop.
         block_len = self._fast_block_len
-        batches = self._fast_batches
-        if batches is None:
-            batches = compile_batches(self)
-            self._fast_batches = batches
+        if block_len is None:
+            block_len = self._fast_block_len = compile_batches(self)
         while not ctx.halted and stats.committed < budget:
             pc = ctx.pc
             run_len = block_len[pc]
             remaining = budget - stats.committed
             if run_len > remaining:
                 run_len = remaining
-            if watchdog is not None:
-                if run_len > steps_until_check:
-                    run_len = steps_until_check
-            if run_len > 1:
-                batch = batches[pc]
-                if batch is not None and run_len == block_len[pc]:
-                    batch()
-                else:
-                    for handler in handlers[pc:pc + run_len]:
-                        handler()
-            else:
-                handlers[pc]()
-                run_len = 1
-            if watchdog is not None:
-                steps_until_check -= run_len
-                if steps_until_check <= 0:
-                    steps_until_check = check_interval
-                    watchdog.check(stats.committed, self.cycles)
+            if run_len > steps_until_check:
+                run_len = steps_until_check
+            for handler in handlers[pc:pc + run_len]:
+                handler()
+            steps_until_check -= run_len
+            if steps_until_check <= 0:
+                steps_until_check = check_interval
+                watchdog.check(stats.committed, self.cycles)
 
     def _enter_trace_if_patched(self, pc: int) -> None:
         runtime = self.runtime
@@ -448,27 +425,22 @@ class SMTCore:
     def _bind_trace(self, trace):
         """The generated run function of ``trace`` on this core.
 
-        Cached on the trace, keyed on this core, the body's identity and
-        length, and the injector and watchdog it was generated for:
-        derived traces are new objects (no stale cache), and in-place
-        patches to prefetch displacements are read live by the code, so
-        they never invalidate it.
+        Cached on the trace, keyed on this core and the body's identity
+        and length: derived traces are new objects (no stale cache), and
+        in-place patches to prefetch displacements are read live by the
+        code, so they never invalidate it.
         """
         body = trace.body
-        injector = self.injector
-        watchdog = self.watchdog
         cached = getattr(trace, "_fast_cache", None)
         if (
             cached is not None
             and cached[0] is self
             and cached[1] is body
             and cached[2] == len(body)
-            and cached[3] is injector
-            and cached[4] is watchdog
         ):
-            return cached[5]
+            return cached[3]
         run = compile_trace(self, trace)
-        trace._fast_cache = (self, body, len(body), injector, watchdog, run)
+        trace._fast_cache = (self, body, len(body), run)
         return run
 
     def _step_original(self) -> None:

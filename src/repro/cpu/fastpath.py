@@ -16,9 +16,9 @@ a closure variable.  The handler's code is rendered from a template per
 instruction *shape* (opcode, which registers it has, whether a runtime
 is attached: :func:`step_source`), compiled once per process and bound
 per instruction, so a step tests no flags at run time.  ``SMTCore``
-then executes ``handlers[pc]()`` per step, or a straight ``for`` over a
-basic block of pure-register handlers when no runtime/injector needs
-per-step hooks.
+then executes ``handlers[pc]()`` per step, or, when no runtime or
+injector needs per-step hooks, a straight ``for`` over the handlers of
+a basic block (:func:`compile_batches` gives each PC's run length).
 
 A linked hot trace is straight-line code, so it goes further: the whole
 body becomes ONE generated Python function (:func:`compile_trace`),
@@ -78,9 +78,8 @@ import linecache
 import math
 
 from ..isa.opcodes import (
+    BRANCH_OPCODES,
     CONDITIONAL_BRANCHES,
-    FP_ALU_OPCODES,
-    INT_ALU_OPCODES,
     LOAD_OPCODES,
     Opcode,
 )
@@ -92,20 +91,6 @@ from .executor import ALU_OPS
 #: property call (identical truth value — see ``LoadOutcome.is_miss``).
 _HIT = OutcomeKind.HIT
 _HIT_PF = OutcomeKind.HIT_PREFETCHED
-
-#: Opcodes whose handlers neither change control flow nor need per-step
-#: hooks — eligible for batched basic-block execution.  Memory ops
-#: qualify: the hierarchy keeps its own state and never reads the
-#: core's scalar pipeline registers, so a load inside a batch sees
-#: exactly the state it would see stepping one instruction at a time.
-#: Control flow (branches, JMP, HALT) stays out: those write the fetch
-#: stall / PC and must re-enter the dispatch loop.
-BATCHABLE_OPCODES = frozenset(
-    INT_ALU_OPCODES
-    | FP_ALU_OPCODES
-    | LOAD_OPCODES
-    | {Opcode.STQ, Opcode.PREFETCH, Opcode.LDA, Opcode.MOVE, Opcode.NOP}
-)
 
 #: Load-queue entries, and execution latencies (cycles) by opcode class;
 #: ``SMTCore`` imports the first two.
@@ -148,30 +133,6 @@ def _patch_lookup(runtime):
     if runtime is None or runtime.overhead_only:
         return _NO_TRACES.get
     return runtime.code_cache._patch_map.get
-
-
-def block_lengths(instructions) -> list:
-    """``block_len[pc]`` = instructions from ``pc`` to the end of its
-    basic block's straight-line batchable run (always >= 1; boundary
-    opcodes get 1).
-
-    A block ends before a boundary opcode and before a branch target (a
-    leader), so blocks never overlap: starting at PC 0, ``pc +=
-    block_len[pc]`` visits exactly the block leaders.
-    """
-    n = len(instructions)
-    targets = {inst.target for inst in instructions}
-    lens = [1] * n
-    run = 0
-    for i in range(n - 1, -1, -1):
-        if instructions[i].opcode in BATCHABLE_OPCODES:
-            run += 1
-            lens[i] = run
-        else:
-            run = 0
-        if i in targets:
-            run = 0
-    return lens
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +442,9 @@ def step_source(op, has_ra, has_rb, writes, runtime):
 
 
 def compile_program(core):
-    """Return ``(handlers, block_len)`` for ``core.program``:
-    ``handlers[pc]`` is the step of the instruction at ``pc``, its shape's
-    template bound to the instruction and this core."""
+    """Return ``handlers`` for ``core.program``: ``handlers[pc]`` is the
+    step of the instruction at ``pc``, its shape's template bound to the
+    instruction and this core."""
     instructions = core.program.instructions
     runtime = core.runtime is not None
     patch_get = _patch_lookup(core.runtime)
@@ -494,7 +455,37 @@ def compile_program(core):
         if source is None:
             source = _STEP_SOURCES[shape] = step_source(*shape)
         handlers.append(_binder(source, "step")(core, patch_get, pc, inst))
-    return handlers, block_lengths(instructions)
+    return handlers
+
+
+def compile_batches(core):
+    """Return ``run_len``: ``run_len[pc]`` is the number of instructions
+    from ``pc`` to the end of its basic block (at least 1; a branch, JMP
+    or HALT is a block of its own).
+
+    A block ends after its last straight-line instruction and before a
+    branch target, so blocks never overlap: from PC 0, ``pc +=
+    run_len[pc]`` visits exactly the block leaders.  Without per-step
+    hooks ``SMTCore._run_fast`` steps ``handlers[pc:pc + run_len[pc]]``
+    in one loop, clamped to the budget and the next watchdog check.
+    (The traced perfbench run counts calls of ``repro.cpu.core.
+    compile_batches`` by this name, so it stays until the simulator
+    reports its own layer costs.)
+    """
+    instructions = core.program.instructions
+    targets = {inst.target for inst in instructions}
+    lens = [1] * len(instructions)
+    run = 0
+    for pc in range(len(instructions) - 1, -1, -1):
+        op = instructions[pc].opcode
+        if op in BRANCH_OPCODES or op is Opcode.HALT:
+            run = 0
+        else:
+            run += 1
+            lens[pc] = run
+        if pc in targets:
+            run = 0
+    return lens
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +563,9 @@ _BIND_HEAD = (
         if injector is not None:
             save(None, {state})
             injector.tick(clock, committed)
-        if watchdog is not None:
-            until -= 1
-            if until <= 0:
-                until = paused(None, until, {state})
+        until -= 1
+        if until <= 0:
+            until = paused(None, until, {state})
         return until
 
     def left(pc, completed, until, {state}):
@@ -629,22 +619,19 @@ def compile_trace(core, trace):
     again without returning.
     """
     source, live, consts = trace_source(
-        trace.body,
-        trace.fallthrough_pc,
-        injector=core.injector is not None,
-        watchdog=core.watchdog is not None,
+        trace.body, trace.fallthrough_pc, injector=core.injector is not None
     )
     bind = _binder(source, "trace")
     return bind(core, trace, live, consts, _patch_lookup(core.runtime))
 
 
-def trace_source(body, fallthrough_pc, injector, watchdog):
+def trace_source(body, fallthrough_pc, injector):
     """Python source of the ``bind`` function for a trace body.
 
     Returns ``(source, live, consts)``: the ``PREFETCH`` instructions the
     code reads ``disp`` from at run time (repairs patch it in place) and
     the operands that have no exact literal, both passed to ``bind``.
-    ``injector`` and ``watchdog`` say whether the core has each hook.
+    ``injector`` says whether the core has a fault injector.
     """
     if not body:
         raise ValueError("a trace body needs at least one instruction")
@@ -684,16 +671,13 @@ def trace_source(body, fallthrough_pc, injector, watchdog):
         if injector:
             emit(4, f"job, busy, stalled = injected({idx}, {state})")
         pause = f"until = paused({idx}, until, {state})"
-        if watchdog and budget:
+        if budget:
             emit(4, "until -= 1\n"
                     "if until <= 0 or committed >= budget:\n"
                     f"    {pause}\n"
                     "    if committed >= budget:\n        return until")
-        elif watchdog:
+        else:
             emit(4, f"until -= 1\nif until <= 0:\n    {pause}")
-        elif budget:
-            emit(4, f"if committed >= budget:\n"
-                    f"    save({idx}, {state})\n    return until")
 
     for idx, tinst in enumerate(body):
         inst = tinst.inst
@@ -772,226 +756,3 @@ def trace_source(body, fallthrough_pc, injector, watchdog):
                                 for name, field in zip(counters, fields)),
     )
     return head + "\n".join(out) + "\n    return run\n", live, consts
-
-
-# ---------------------------------------------------------------------------
-# Batched basic blocks.  The batched loop in ``SMTCore._run_fast`` (taken
-# only when neither a runtime nor an injector needs per-step hooks) can
-# go one step further than calling per-instruction steps in sequence:
-# a straight-line run of pure-register instructions touches no memory,
-# no control flow, and no hook, so the scalar pipeline state
-# (``_issue_clock``, ``_rob_idx``, ``_completion_max``, the fetch stall)
-# can live in locals for the whole run and be written back once.  That
-# removes the per-instruction step call and every per-instruction
-# ``core.<attr>`` read/write, while performing the *identical* float
-# arithmetic in the identical order.
-#
-# ``stats.committed`` is accumulated and added once per run: nothing
-# observes it between the instructions of a batch (the watchdog clamp in
-# ``_run_fast`` guarantees checks land on batch boundaries), and integer
-# addition is associative.  ``_fetch_stall_until`` is read once: only
-# branch/jump handlers write it, and a batch contains none.  The memory
-# hierarchy is called through the same bound methods with the same
-# arguments in the same order as the per-instruction handlers, so every
-# fill, outcome and memory stat is identical.
-# ---------------------------------------------------------------------------
-_K_LDA, _K_MOVE, _K_ALU, _K_NOP = 0, 1, 2, 3
-_K_LOAD, _K_STORE, _K_PREFETCH = 4, 5, 6
-
-
-def compile_batches(core):
-    """Return ``batches[pc]``: at each block leader whose block is at
-    least two instructions long, a closure that executes the whole
-    block; None everywhere else (the per-instruction handlers step
-    there, including the rest of a block entered mid-way after a budget
-    or watchdog clamp).
-
-    A leader's batch is compiled on its first full-block entry, so a
-    run compiles only the blocks it executes whole, each once: together
-    they cover at most ``len(program)`` instructions.
-
-    Only used by cores running without runtime/injector hooks, so the
-    helper-interference check compiles away entirely (matching the
-    per-instruction handlers, which compiled it away for the same
-    reason when ``core.runtime`` is None).
-    """
-    instructions = core.program.instructions
-    lens = block_lengths(instructions)
-    batches = [None] * len(instructions)
-    pc = 0
-    while pc < len(lens):
-        ln = lens[pc]
-        if ln >= 2:
-            batches[pc] = _compile_on_entry(
-                core, batches, pc, instructions[pc:pc + ln]
-            )
-        pc += ln
-    return batches
-
-
-def _compile_on_entry(core, batches, pc, insts):
-    """A stand-in for ``batches[pc]`` that compiles the block's batch,
-    installs it in its place and runs it."""
-    def first_entry():
-        batch = batches[pc] = _compile_batch(core, pc, insts)
-        batch()
-
-    return first_entry
-
-
-def _compile_batch(core, pc, insts):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    loadq = core._loadq
-    stats = core.stats
-    issue_cost = core._issue_cost
-    read = core.memory.read
-    read_quiet = core.memory.read_quiet
-    write = core.memory.write
-    hier_load = core.hierarchy.load
-    hier_store = core.hierarchy.store
-    hier_prefetch = core.hierarchy.software_prefetch
-    n = len(insts)
-    next_pc = pc + n
-
-    specs = []
-    for i, inst in enumerate(insts):
-        op = inst.opcode
-        if op is Opcode.LDA:
-            kind = _K_LDA
-        elif op is Opcode.MOVE:
-            kind = _K_MOVE
-        elif op is Opcode.NOP:
-            kind = _K_NOP
-        elif op in LOAD_OPCODES:
-            kind = _K_LOAD
-        elif op is Opcode.STQ:
-            kind = _K_STORE
-        elif op is Opcode.PREFETCH:
-            kind = _K_PREFETCH
-        else:
-            kind = _K_ALU
-        rd = inst.rd
-        specs.append((
-            kind,
-            ALU_OPS.get(op),
-            rd,
-            inst.ra,
-            inst.rb,
-            inst.imm,
-            inst.disp,
-            _alu_latency(op),
-            rd != 31,                       # fwrites (functional write)
-            rd is not None and rd != 31,    # twrites
-            inst.ra is not None,
-            inst.rb is not None,
-            pc + i,                         # this instruction's pc
-            read_quiet if op is Opcode.LDQ_NF else read,
-            inst,                           # PREFETCH reads disp live
-        ))
-    specs = tuple(specs)
-
-    def run_block():
-        clock = core._issue_clock
-        stall = core._fetch_stall_until
-        ri = core._rob_idx
-        li = core._loadq_idx
-        cmax = core._completion_max
-        for (kind, op_fn, rd, ra, rb, imm, disp, latency,
-             fwrites, twrites, has_ra, has_rb, ipc,
-             read_fn, inst_ref) in specs:
-            # Functional execute (same per-kind expressions as the
-            # per-instruction factories).
-            if kind == _K_ALU:
-                b = regs[rb] if has_rb else imm
-                value = op_fn(regs[ra], b)
-                if fwrites:
-                    regs[rd] = value
-            elif kind == _K_LOAD:
-                ea = int(regs[ra]) + disp
-                if fwrites:
-                    regs[rd] = read_fn(ea)
-            elif kind == _K_LDA:
-                if fwrites:
-                    regs[rd] = int(regs[ra]) + disp
-            elif kind == _K_MOVE:
-                if fwrites:
-                    regs[rd] = regs[ra]
-            elif kind == _K_STORE:
-                ea = int(regs[ra]) + disp
-                write(ea, regs[rd])
-            elif kind == _K_PREFETCH:
-                # disp read live: repairs patch it in place
-                ea = int(regs[ra]) + inst_ref.disp
-            # _issue (no runtime => no interference arm).
-            issue = clock + issue_cost
-            if issue < stall:
-                issue = stall
-            lim = rob[ri]
-            if issue < lim:
-                issue = lim
-            clock = issue
-            # Per-kind timing (mirrors _time_alu / _time_load / the
-            # store and prefetch arms of the per-instruction handlers).
-            if kind <= _K_ALU:  # LDA / MOVE / ALU
-                start = issue
-                if has_ra:
-                    r = ready[ra]
-                    if r > start:
-                        start = r
-                if has_rb:
-                    r = ready[rb]
-                    if r > start:
-                        start = r
-                completion = start + latency
-                if twrites:
-                    ready[rd] = completion
-            elif kind == _K_LOAD:
-                access = issue
-                addr_ready = ready[ra]
-                if addr_ready > access:
-                    access = addr_ready
-                lq_limit = loadq[li]
-                if lq_limit > access:
-                    access = lq_limit
-                outcome = hier_load(ipc, ea, int(access))
-                completion = access + outcome.latency
-                loadq[li] = completion
-                li += 1
-                if li == _MEM_QUEUE:
-                    li = 0
-                if twrites:
-                    ready[rd] = completion
-                stats.loads_executed += 1
-                okind = outcome.kind
-                if okind is not _HIT and okind is not _HIT_PF:  # is_miss
-                    stats.misses_total += 1
-                    by_pc = stats.miss_count_by_pc
-                    by_pc[ipc] = by_pc.get(ipc, 0) + 1
-            elif kind == _K_NOP:
-                completion = issue
-            elif kind == _K_STORE:
-                completion = max(issue, ready[ra], ready[rd]) + 1
-                hier_store(ea, int(completion))
-            else:  # _K_PREFETCH
-                access = max(issue, ready[ra])
-                hier_prefetch(ea, int(access))
-                completion = access
-            # _retire
-            rob[ri] = completion
-            ri += 1
-            if ri == rob_len:
-                ri = 0
-            if completion > cmax:
-                cmax = completion
-        core._issue_clock = clock
-        core._rob_idx = ri
-        core._loadq_idx = li
-        core._completion_max = cmax
-        stats.committed += n
-        ctx.pc = next_pc
-
-    return run_block

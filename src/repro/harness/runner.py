@@ -237,15 +237,6 @@ class Simulation:
                 initial_distance_mode=initial_distance_mode,
             )
 
-        self.core = SMTCore(
-            program=workload.program,
-            memory=workload.memory,
-            hierarchy=self.hierarchy,
-            config=machine,
-            runtime=self.runtime,
-            fast=self.config.fast,
-        )
-
         # Resilience layer: commit-stall detection is always armed (it is
         # nearly free and only pathological runs ever trip it); cycle and
         # wall-time ceilings come from the config.  A fault plan arms the
@@ -254,7 +245,6 @@ class Simulation:
             max_cycles=self.config.max_cycles,
             wall_time_limit=self.config.wall_time_limit,
         )
-        self.core.watchdog = self.watchdog
         self.injector: Optional[FaultInjector] = None
         if fault_plan is not None:
             if not isinstance(fault_plan, FaultPlan):
@@ -264,7 +254,17 @@ class Simulation:
             self.injector = FaultInjector(
                 fault_plan, hierarchy=self.hierarchy, runtime=self.runtime
             )
-            self.core.injector = self.injector
+
+        self.core = SMTCore(
+            program=workload.program,
+            memory=workload.memory,
+            hierarchy=self.hierarchy,
+            config=machine,
+            runtime=self.runtime,
+            fast=self.config.fast,
+            injector=self.injector,
+            watchdog=self.watchdog,
+        )
 
         # Observability: one attach call wires every component's emit
         # hooks.  Without an observer every hook stays None and the hot

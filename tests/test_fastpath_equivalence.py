@@ -3,8 +3,8 @@
 ``SMTCore`` has two interpreters: the reference stepper
 (``_run_slow`` / ``_step_original`` / ``_step_trace``) and the decoded
 fast path (``fastpath.py``: per-instruction steps rendered from one
-template per instruction shape, one generated function per linked
-trace, and batched basic blocks).  Everything observable must be
+template per instruction shape, stepped block by block when no hook
+runs between them, and one generated function per linked trace).  Everything observable must be
 byte-identical between them:
 
 * the full ``SimulationResult.to_dict()`` payload, for every registered
@@ -28,7 +28,6 @@ import pytest
 
 from conftest import simple_stride_program
 from repro.config import MachineConfig, PrefetchPolicy
-from repro.cpu import fastpath
 from repro.cpu.core import SMTCore
 from repro.harness.cache import ResultCache
 from repro.harness.engine import ExperimentEngine, make_job
@@ -38,7 +37,7 @@ from repro.hwprefetch.zoo import zoo_names
 from repro.memory.mainmem import DataMemory
 from repro.obs import Observer
 from repro.obs.export import write_jsonl
-from repro.workloads import BENCHMARK_NAMES, load_workload
+from repro.workloads import BENCHMARK_NAMES
 
 BUDGET = 2_000
 WARMUP = 500
@@ -82,39 +81,6 @@ class TestEveryPolicy:
         assert _canon(fast) == _canon(slow)
 
 
-class TestLeaderOnlyBatches:
-    """Batches compile at block leaders only, each once per core, so a
-    run's compiled batches cover the program at most once — even where
-    budget and watchdog clamps re-enter blocks mid-way (applu's long
-    blocks, parser's many small ones)."""
-
-    @pytest.mark.parametrize("name", ["applu", "parser"])
-    def test_batches_cover_the_program_at_most_once(self, name, monkeypatch):
-        compiled = []
-        real = fastpath._compile_batch
-
-        def recording(core, pc, insts):
-            compiled.append((pc, len(insts)))
-            return real(core, pc, insts)
-
-        monkeypatch.setattr(fastpath, "_compile_batch", recording)
-        run = dict(policy=PrefetchPolicy.HW_ONLY, max_instructions=20_000,
-                   warmup_instructions=5_000)
-        fast = _run(name, fast=True, **run)
-        program = load_workload(name).program
-        pcs = [pc for pc, _ in compiled]
-        assert len(pcs) == len(set(pcs))
-        assert sum(n for _, n in compiled) <= len(program)
-        # Branch targets lead blocks: loop bodies still run batched.
-        loop_heads = {
-            inst.target for pc, inst in enumerate(program.instructions)
-            if inst.is_conditional_branch and inst.target <= pc
-        }
-        assert loop_heads & set(pcs)
-        slow = _run(name, fast=False, **run)
-        assert _canon(fast) == _canon(slow)
-
-
 class TestObservability:
     def test_samples_identical(self):
         slow = _run("swim", fast=False, sample_interval=500)
@@ -146,7 +112,7 @@ class TestChunkedRuns:
     """``run(drain=False)`` at chunk boundaries must be invisible.
 
     The interval sampler stops the core mid-run to take a window sample
-    and resumes; the fast path's batched blocks may be mid-flight when a
+    and resumes; the fast path's block runs may be mid-flight when a
     chunk budget lands.  Chunked and unchunked runs must leave bit-equal
     core, cache, and stats state — on both interpreters, and across
     them.
@@ -197,7 +163,7 @@ class TestChunkedRuns:
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
     # 250 lands on block boundaries of the 4-instruction loop; 333 lands
-    # mid-block, forcing the fast path's clamp fallback.
+    # mid-block, clamping the fast path's block run.
     @pytest.mark.parametrize("chunk", [250, 333])
     def test_chunked_equals_unchunked(self, fast, chunk):
         assert self._run_chunked(fast, chunk) == self._run_unchunked(fast)

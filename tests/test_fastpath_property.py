@@ -1,18 +1,21 @@
 """Property-based differential fuzzing of the decoded fast interpreter.
 
-Hypothesis generates random straight-line programs — every batchable
-opcode class the fast path compiles into single-closure blocks (integer
-and FP ALU, loads, non-faulting loads, stores, prefetches, LDA, MOVE,
-NOP) in arbitrary order with arbitrary register/displacement choices —
-and asserts the reference stepper and the fast path agree on *all*
-architecturally visible state: registers, memory words, cycles, core
-stats, and the memory hierarchy's outcome counters.
+Hypothesis generates random straight-line programs — every
+straight-line opcode class (integer and FP ALU, loads, non-faulting
+loads, stores, prefetches, LDA, MOVE, NOP) in arbitrary order with
+arbitrary register/displacement choices — and asserts the reference
+stepper and the fast path agree on *all* architecturally visible state:
+registers, memory words, cycles, core stats, and the memory hierarchy's
+outcome counters.
 
-Straight-line code is exactly the shape the batch compiler fuses, so
-this hammers the riskiest transformation (loop-carried scalar pipeline
-state, deferred ``stats.committed``) harder than the fixed workloads
-can.  A second property re-runs each program under a random instruction
-budget, forcing the mid-block clamp fallback.
+Straight-line code is one basic block, which a core without a runtime
+steps in one loop with no hook between its instructions.  A second
+property re-runs each program under a random instruction budget, which
+clamps that loop mid-block.  On a core without a runtime the loop is
+also clamped to the next watchdog check: these properties give the
+watchdog a random check interval and compare every
+``check(committed, cycles)`` call the two interpreters make (without
+the clamp, the fast path checks late and the sequences differ).
 
 Two more properties add control flow — conditional branches, BR, JMP
 and HALT to random labels, so programs loop — and run every step
@@ -36,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import MachineConfig, PrefetchPolicy, TridentConfig
 from repro.cpu.core import SMTCore
+from repro.faults.watchdog import Watchdog
 from repro.isa.assembler import Assembler
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.mainmem import DataMemory
@@ -182,13 +186,34 @@ def _snapshot(core, memory, hierarchy):
     }
 
 
-def _run(program, fast, budget=10_000):
+class _RecordingWatchdog(Watchdog):
+    """A watchdog that records every ``check(committed, cycles)``."""
+
+    def __init__(self, check_interval):
+        super().__init__()
+        self.check_interval = check_interval
+        self.checks = []
+
+    def check(self, committed, cycles):
+        self.checks.append((committed, cycles))
+        super().check(committed, cycles)
+
+
+#: Watchdog check intervals: short enough to land inside blocks.
+_intervals = st.integers(min_value=1, max_value=64)
+
+
+def _run(program, fast, interval, budget=10_000):
     config = MachineConfig()
     memory = DataMemory()
     hierarchy = MemoryHierarchy(config)
-    core = SMTCore(program, memory, hierarchy, config, fast=fast)
+    watchdog = _RecordingWatchdog(interval)
+    core = SMTCore(program, memory, hierarchy, config, fast=fast,
+                   watchdog=watchdog)
     core.run(budget)
-    return _snapshot(core, memory, hierarchy)
+    state = _snapshot(core, memory, hierarchy)
+    state["checks"] = watchdog.checks
+    return state
 
 
 class _LoggedRuntime(TridentRuntime):
@@ -228,31 +253,33 @@ def _run_with_runtime(program, fast, budget, interference):
 
 
 @settings(max_examples=_examples(60), deadline=None)
-@given(ops=programs)
-def test_random_straight_line_identical(ops):
+@given(ops=programs, interval=_intervals)
+def test_random_straight_line_identical(ops, interval):
     program = _build(ops)
-    assert _run(program, fast=True) == _run(program, fast=False)
+    assert _run(program, True, interval) == _run(program, False, interval)
 
 
 @settings(max_examples=_examples(60), deadline=None)
-@given(ops=programs, budget=st.integers(min_value=1, max_value=40))
-def test_random_budget_truncation_identical(ops, budget):
-    """A budget landing mid-block must clamp to the per-instruction
-    fallback and still match the reference stepper exactly."""
+@given(ops=programs, budget=st.integers(min_value=1, max_value=40),
+       interval=_intervals)
+def test_random_budget_truncation_identical(ops, budget, interval):
+    """A budget or watchdog check landing mid-block must clamp the
+    block's run and still match the reference stepper exactly."""
     program = _build(ops)
-    assert _run(program, fast=True, budget=budget) == _run(
-        program, fast=False, budget=budget
+    assert _run(program, True, interval, budget=budget) == _run(
+        program, False, interval, budget=budget
     )
 
 
 @settings(max_examples=_examples(60), deadline=None, derandomize=True)
-@given(ops=branchy_programs, budget=st.integers(min_value=1, max_value=400))
-def test_random_control_flow_identical(ops, budget):
+@given(ops=branchy_programs, budget=st.integers(min_value=1, max_value=400),
+       interval=_intervals)
+def test_random_control_flow_identical(ops, budget, interval):
     """Every step template without a runtime, control flow included,
-    inside and between batched blocks."""
+    inside and between basic blocks."""
     program = _build(ops)
-    assert _run(program, fast=True, budget=budget) == _run(
-        program, fast=False, budget=budget
+    assert _run(program, True, interval, budget=budget) == _run(
+        program, False, interval, budget=budget
     )
 
 

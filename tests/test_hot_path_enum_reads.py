@@ -116,7 +116,7 @@ def _every_trace_kind():
 @pytest.mark.parametrize("injector", [False, True])
 def test_no_enum_member_reads_in_generated_trace_code(injector):
     source, _live, _consts = trace_source(
-        _every_trace_kind(), 3, injector=injector, watchdog=True
+        _every_trace_kind(), 3, injector=injector
     )
     compile(source, "<trace>", "exec")
     assert enum_reads(source) == []

@@ -26,7 +26,11 @@ from repro.harness.engine import ExperimentEngine, make_job
 from repro.harness.runner import Simulation
 from repro.scenarios import CATALOG
 from repro.workloads import registry
-from repro.workloads.registry import load_workload, shared_workload
+from repro.workloads.registry import (
+    image_digest,
+    load_workload,
+    shared_workload,
+)
 
 B1 = 1_500
 B2 = 3_000
@@ -155,6 +159,27 @@ class TestMismatch:
         assert outcome.resumed_from is None
         assert engine.stats.jobs_resumed == 0
         assert json.dumps(outcome.result.to_dict()) == _cold("art")
+
+
+class TestImageDigest:
+    def test_one_word_or_the_order_changes_the_digest(self):
+        words = {0x10000 + 8 * i: 3 * i for i in range(100)}
+        digest = image_digest(words)
+        assert len(digest) == 32
+        assert image_digest(dict(words)) == digest
+        changed = dict(words)
+        changed[0x10000 + 8 * 50] += 1
+        assert image_digest(changed) != digest
+        reordered = dict(reversed(list(words.items())))
+        assert reordered == words
+        assert image_digest(reordered) != digest
+
+    def test_float_and_mixed_images_digest_by_value_and_type(self):
+        words = {0x10000: 0, 0x10008: 1.5}
+        digest = image_digest(words)
+        assert image_digest(dict(words)) == digest
+        assert image_digest({0x10000: 0.0, 0x10008: 1.5}) != digest
+        assert image_digest({0x10000: 0, 0x10008: 2.5}) != digest
 
 
 class TestUnsharedWorkloads:

@@ -10,8 +10,8 @@ expecting either direction), links one into a small looping program and
 runs it on a fast core and on a ``fast=False`` core, in lock-stepped
 ``drain=False`` chunks of 1 to ``len(body) + 1`` instructions so chunk
 ends land on every body index.  Draws add a fault injector (helper
-stalls and failures, DRAM latency, cache flushes) and a watchdog with a
-short check interval.  After every chunk the two cores must agree on
+stalls and failures, DRAM latency, cache flushes) and give the watchdog
+a short check interval (the rest keep the default one).  After every chunk the two cores must agree on
 registers, memory words, stats, clocks, the ROB and load queue, the
 trace cursor, the branch predictor, ``MemoryStats`` and every runtime
 hook call.  The stand-in runtime turns trace loads into helper jobs
@@ -154,6 +154,7 @@ def cases(draw):
                            min_size=1, max_size=40))
     chunks.append(draw(st.integers(200, 600)))
     plan = draw(st.one_of(st.none(), fault_plans()))
+    # None keeps the watchdog's default check interval.
     interval = draw(st.one_of(st.none(), st.integers(1, 12)))
     # Without helper interference the clock steps by exact issue slots,
     # so it can land on a job's ready cycle exactly.
@@ -270,16 +271,16 @@ def _core(case, fast):
     trace = _trace(body, fallthrough)
     runtime = _Runtime(trace)
     hierarchy = MemoryHierarchy(config)
+    injector = None
+    if plan is not None:
+        injector = FaultInjector(plan, hierarchy=hierarchy, runtime=runtime)
+    watchdog = Watchdog()
+    if interval is not None:
+        watchdog.check_interval = interval
     core = SMTCore(_program(), DataMemory(), hierarchy, config, runtime,
-                   fast=fast)
+                   fast=fast, injector=injector, watchdog=watchdog)
     for reg, value in zip(FP, (1.5, -0.75, 2.25)):
         core.ctx.regs[reg] = value
-    if plan is not None:
-        core.injector = FaultInjector(plan, hierarchy=hierarchy,
-                                      runtime=runtime)
-    if interval is not None:
-        core.watchdog = Watchdog()
-        core.watchdog.check_interval = interval
     return core
 
 
