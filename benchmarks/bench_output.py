@@ -39,18 +39,30 @@ HISTORY_PATH = RESULTS_DIR / "BENCH_history.jsonl"
 
 
 def _git_rev() -> Optional[str]:
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+    """HEAD's short hash, suffixed ``-dirty`` when a tracked file outside
+    ``results/`` differs from HEAD (the history file changes with every
+    append, so it does not count)."""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args],
             capture_output=True,
             text=True,
-            cwd=pathlib.Path(__file__).parent,
+            cwd=RESULTS_DIR.parent,
             timeout=10,
+        )
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD").stdout.strip()
+        if not rev:
+            return None
+        diff = git(
+            "diff", "--quiet", "HEAD", "--",
+            ":/", f":(exclude){RESULTS_DIR.name}",
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    rev = proc.stdout.strip()
-    return rev or None
+    return rev + "-dirty" if diff.returncode == 1 else rev
 
 
 def append_history(record: Dict) -> pathlib.Path:

@@ -2,8 +2,8 @@
 and resume it at a larger budget, byte-identical to a cold run.
 
 See DESIGN.md §5d.  :mod:`~repro.checkpoint.snapshot` owns the canonical
-serialisation and the quiescence rule; :mod:`~repro.checkpoint.store`
-owns the prefix-keyed on-disk layout the experiment engine resumes from.
+serialisation; :mod:`~repro.checkpoint.store` owns the prefix-keyed
+on-disk layout the experiment engine resumes from.
 """
 
 from .snapshot import (
@@ -11,7 +11,6 @@ from .snapshot import (
     Snapshot,
     canonical_dumps,
     capture,
-    is_quiescent,
     restore,
 )
 from .store import CheckpointStore, prefix_spec
@@ -22,7 +21,6 @@ __all__ = [
     "CheckpointStore",
     "canonical_dumps",
     "capture",
-    "is_quiescent",
     "prefix_spec",
     "restore",
 ]

@@ -4,16 +4,14 @@ Every run here is bit-for-bit deterministic and ``SMTCore.run`` is
 re-entrant: chunked calls (``drain=False``) leave state identical to one
 big call.  A snapshot therefore *is* the run's future — restoring one and
 continuing to budget B2 is byte-identical to a cold run at B2.  That
-equivalence only holds if two things are true, and this module enforces
-both:
+equivalence only holds if two things are true:
 
-* **Capture happens at quiescent points only.**  Pending fault reverts
-  hold closures that cannot be pickled; :func:`capture` raises
-  :class:`CheckpointError` while a fault window is open and callers
-  simply retry at a later boundary.  (In-flight helper jobs and queued
-  optimization events are *not* blockers: their completion actions are
-  picklable objects over the simulated graph, so a busy helper rides
-  along inside the snapshot.)
+* **The simulated graph holds no closures, so every chunk boundary is
+  a capture point.**  In-flight helper jobs, queued optimization events
+  and open fault windows are plain data over the simulated graph (a
+  window end is a ``(cycle, seq, field, amount)`` heap entry in the
+  fault injector), so a busy helper or an open window rides along
+  inside the snapshot.
 * **The serialized form is canonical.**  The payload is a pickle whose
   bytes depend only on *values*, never on object identity accidents:
   every ``set``/``frozenset`` is reduced through sorted element lists
@@ -82,9 +80,10 @@ from ..memory.mainmem import DataMemory
 from ..workloads.registry import shared_workload
 
 #: Bumped whenever the frame layout or the pickled object graph changes
-#: incompatibly; part of the header, checked on load.  (5: image digests
-#: are SHA-256, so a format-4 snapshot's digest never matches.)
-FORMAT_VERSION = 5
+#: incompatibly; part of the header, checked on load.  (6: fault window
+#: ends are plain heap entries, and the simulation no longer carries a
+#: capture schedule.)
+FORMAT_VERSION = 6
 
 #: Frame magic ("RePro ChecKpoint").
 MAGIC = b"RPCK"
@@ -407,26 +406,6 @@ def _snapshot_dumps(sim) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Quiescence.
-# ---------------------------------------------------------------------------
-def is_quiescent(sim) -> bool:
-    """True when ``sim`` holds no in-flight closures.
-
-    Helper jobs and queued optimization events are picklable objects
-    (their completion actions are dataclasses over the simulated object
-    graph, see ``repro.core.optimizer`` / ``repro.trident.runtime``), so
-    a busy helper does not block capture.  The one remaining owner of
-    genuine closures is the fault injector's scheduled revert list —
-    present only in fault-plan runs, and pending only inside an active
-    fault window.
-    """
-    injector = sim.injector
-    if injector is not None and injector._reverts:
-        return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # The snapshot container.
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -486,18 +465,14 @@ class Snapshot:
 
 
 def capture(sim) -> Snapshot:
-    """Snapshot the complete simulator state at a quiescent point.
+    """Snapshot the complete simulator state at a chunk boundary.
 
-    The snapshot is taken *before* the end-of-run drain and
+    Any boundary will do, inside a fault window or with the helper
+    busy.  The snapshot is taken *before* the end-of-run drain and
     ``injector.finish`` — i.e. exactly the state a longer cold run would
     have when passing this committed count — so a checkpoint captured at
     a run's own budget can seed any larger budget.
     """
-    if not is_quiescent(sim):
-        raise CheckpointError(
-            "cannot capture: fault revert in flight "
-            "(retry at the next quiescent boundary)"
-        )
     committed, cycles = sim.core.snapshot()
     payload = zlib.compress(_snapshot_dumps(sim), _ZLIB_LEVEL)
     header = {
@@ -519,9 +494,8 @@ def restore(snapshot: Snapshot):
     Validates the code-version stamp (a snapshot from different sources
     is not just stale, it would *diverge*), unpickles the object graph
     (resolving a shared workload through the registry, which may build
-    it, and checking its image digest), and binds the fast interpreter's
-    generated run function for a trace that was mid-execution at capture
-    time.
+    it, and checking its image digest).  A core that was mid-trace binds
+    its generated run function on its next run call.
     """
     stamp = snapshot.header.get("code_version")
     if stamp != code_version():
@@ -541,6 +515,4 @@ def restore(snapshot: Snapshot):
     core = getattr(sim, "core", None)
     if core is None:
         raise CheckpointError("checkpoint payload is not a Simulation")
-    if core._trace is not None and core.fast:
-        core._trace_run = core._bind_trace(core._trace)
     return sim

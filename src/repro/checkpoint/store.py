@@ -31,13 +31,9 @@ import os
 import pathlib
 from typing import Dict, List, Optional
 
-from ..errors import CheckpointError
 from ..harness.blobstore import BlobStore, stable_hash
 from ..harness.cache import SCHEMA_VERSION, code_version
-from ..logutil import get_logger
-from .snapshot import Snapshot, capture, is_quiescent
-
-_log = get_logger("checkpoint")
+from .snapshot import Snapshot, capture
 
 _SUFFIX = ".ckpt"
 
@@ -134,20 +130,16 @@ class CheckpointStore(BlobStore):
         return self.write(path, snapshot.to_bytes())
 
     def save(self, prefix: str, sim) -> bool:
-        """Capture-and-store if ``sim`` is quiescent; False otherwise.
+        """Capture ``sim`` at its current chunk boundary and store it;
+        True when the point is stored, False when the write was skipped.
 
-        The convenience used as a run's checkpoint sink: skips busy
-        boundaries and never lets a capture or I/O failure break the
-        simulation that is being checkpointed.
+        The convenience used as a run's checkpoint sink.  Every chunk
+        boundary is a capture point, and an I/O failure only skips the
+        write (:class:`~repro.harness.blobstore.BlobStore`), so a save
+        never breaks the simulation that is being checkpointed.
         """
-        if not is_quiescent(sim):
-            return False
         if self.path_for(prefix, sim.core.stats.committed).exists():
             # A previous identical run already stored this exact point;
-            # the due capture is satisfied without re-pickling.
+            # no need to re-pickle it.
             return True
-        try:
-            return self.put(prefix, capture(sim))
-        except CheckpointError as exc:
-            _log.debug("checkpoint capture skipped: %s", exc)
-            return False
+        return self.put(prefix, capture(sim))

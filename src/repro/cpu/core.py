@@ -151,8 +151,7 @@ class SMTCore:
     # ------------------------------------------------------------------
     # Checkpointing (repro.checkpoint): the fast-path caches are closures
     # over live component state and cannot (and need not) be pickled —
-    # they are pure derived state, rebuilt lazily by the next run call
-    # (and eagerly for a mid-trace core by checkpoint.restore).
+    # they are pure derived state, rebuilt lazily by the next run call.
     _VOLATILE = (
         "_fast_handlers",
         "_fast_block_len",
@@ -345,8 +344,7 @@ class SMTCore:
                 helper = runtime.helper
                 queued = runtime.events._queue
             if self._trace is not None and self._trace_run is None:
-                # A plain unpickle drops the binding (checkpoint.restore
-                # rebinds it).
+                # An unpickled mid-trace core lost its binding.
                 self._trace_run = self._bind_trace(self._trace)
             while not ctx.halted and stats.committed < budget:
                 if self._trace is not None:

@@ -25,11 +25,11 @@ class ConfigError(ReproError, ValueError):
 
 
 class CheckpointError(ReproError, RuntimeError):
-    """A simulator snapshot could not be captured, parsed, or restored —
-    truncated or corrupt payload, a format/code-version mismatch, or a
-    capture attempted at a non-quiescent point (a pending fault
-    revert).  Never transient: the store treats it as "no checkpoint"
-    and runs cold instead."""
+    """A simulator snapshot could not be parsed or restored — truncated
+    or corrupt payload, a format/code-version mismatch, or a shared
+    workload image that differs from the captured one.  Never
+    transient: the engine treats it as "no checkpoint" and runs cold
+    instead."""
 
 
 class FleetError(ReproError, RuntimeError):

@@ -60,8 +60,10 @@ class FaultInjector:
         self._by_instruction = sorted(
             by_inst, key=lambda e: e.at_instruction, reverse=True
         )
-        #: Scheduled window ends: (cycle, seq, revert callable).
-        self._reverts: List[Tuple[float, int, object]] = []
+        #: Scheduled window ends, a heap of (cycle, seq, hierarchy field,
+        #: amount) that :meth:`_revert` undoes.  Plain data like every
+        #: other window end, so a snapshot can be captured inside a window.
+        self._reverts: List[Tuple[float, int, str, float]] = []
         self._revert_seq = 0
         self._next_cycle = float("inf")
         self._next_instruction = float("inf")
@@ -95,8 +97,7 @@ class FaultInjector:
         if cycle < self._next_cycle and committed < self._next_instruction:
             return
         while self._reverts and self._reverts[0][0] <= cycle:
-            _ready, _seq, revert = heapq.heappop(self._reverts)
-            revert()
+            self._revert(heapq.heappop(self._reverts))
         while self._by_cycle and self._by_cycle[-1].at_cycle <= cycle:
             self._apply(self._by_cycle.pop(), cycle, committed)
         while (
@@ -109,14 +110,24 @@ class FaultInjector:
     def finish(self, cycle: float) -> None:
         """Run every outstanding window-end (end-of-simulation cleanup)."""
         while self._reverts:
-            _ready, _seq, revert = heapq.heappop(self._reverts)
-            revert()
+            self._revert(heapq.heappop(self._reverts))
         self._refresh_thresholds()
 
     # ------------------------------------------------------------------
-    def _schedule_revert(self, cycle: float, revert) -> None:
+    def _schedule_revert(self, cycle: float, field: str, amount) -> None:
         self._revert_seq += 1
-        heapq.heappush(self._reverts, (cycle, self._revert_seq, revert))
+        heapq.heappush(
+            self._reverts, (cycle, self._revert_seq, field, amount)
+        )
+
+    def _revert(self, entry) -> None:
+        """End one window: undo its change to the hierarchy field."""
+        _ready, _seq, field, amount = entry
+        hierarchy = self.hierarchy
+        if field == "dram_latency_extra":
+            hierarchy.dram_latency_extra -= amount
+        else:
+            hierarchy.bus_occupancy_scale /= amount
 
     def _record(self, event: FaultEvent, cycle: float, committed: int,
                 skipped: bool = False, detail: str = "") -> None:
@@ -161,24 +172,20 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def _apply_dram_latency(self, event: FaultEvent, cycle: float) -> str:
         extra = int(event.magnitude)
-        hierarchy = self.hierarchy
-        hierarchy.dram_latency_extra += extra
+        self.hierarchy.dram_latency_extra += extra
         if event.duration_cycles:
-            def revert() -> None:
-                hierarchy.dram_latency_extra -= extra
-            self._schedule_revert(cycle + event.duration_cycles, revert)
+            self._schedule_revert(
+                cycle + event.duration_cycles, "dram_latency_extra", extra
+            )
             return f"+{extra} cycles for {event.duration_cycles} cycles"
         return f"+{extra} cycles (permanent phase shift)"
 
     def _apply_bus_contention(self, event: FaultEvent, cycle: float) -> str:
         scale = float(event.magnitude)
-        hierarchy = self.hierarchy
-        hierarchy.bus_occupancy_scale *= scale
-
-        def revert() -> None:
-            hierarchy.bus_occupancy_scale /= scale
-
-        self._schedule_revert(cycle + event.duration_cycles, revert)
+        self.hierarchy.bus_occupancy_scale *= scale
+        self._schedule_revert(
+            cycle + event.duration_cycles, "bus_occupancy_scale", scale
+        )
         return f"x{scale:g} occupancy for {event.duration_cycles} cycles"
 
     def _apply_cache_flush(self, event: FaultEvent, cycle: float) -> str:

@@ -34,11 +34,6 @@ from ..workloads.registry import BENCHMARK_NAMES, load_workload
 
 _log = get_logger("harness")
 
-#: Chunk stride while a checkpoint capture is waiting for a quiescent
-#: point — small enough to catch a fault window closing promptly, large
-#: enough that the extra chunk-boundary bookkeeping stays negligible.
-_CKPT_RETRY_STEP = 512
-
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -283,40 +278,28 @@ class Simulation:
                 self.injector.obs = observer
 
         # Checkpointing (repro.checkpoint).  ``checkpoint_sink`` is a
-        # callable given this Simulation at capture-eligible chunk
-        # boundaries — the end of the run, plus every
-        # ``config.checkpoint_every`` committed instructions — returning
-        # True when it stored a snapshot.  It is attached by the engine
-        # or CLI *after* construction and is never part of simulated
-        # state (a snapshot carries it as None).
+        # callable given this Simulation at the end of the run and at
+        # every ``config.checkpoint_every`` committed instructions; any
+        # chunk boundary is a capture point, inside a fault window too.
+        # It is attached by the engine or CLI *after* construction and
+        # is never part of simulated state (a snapshot carries it as
+        # None).
         self.checkpoint_sink = None
-        self.checkpoints_captured = 0
         # Measurement-start coordinates and the sampler boundary are
         # instance state (not ``run()`` locals) so a snapshot carries
-        # them and ``resume()`` continues mid-stream.  The capture
-        # schedule (cadence mark, final-call mark, sticky due flag) is
-        # per-run-segment and recomputed by ``_complete``.
+        # them and ``resume()`` continues mid-stream.
         self._measure_start = (0, 0.0)
         self._next_sample_at: Optional[int] = None
-        self._next_ckpt_at: Optional[int] = None
-        self._final_call_at: Optional[int] = None
-        self._ckpt_due = False
 
     def __getstate__(self):
         """Snapshots never carry the sink (it closes over the store and
         is re-attached — or not — by whoever restores the snapshot), and
-        the per-segment capture schedule is normalised away: it depends
-        on this run's budget and cadence, not on simulated state, and is
-        recomputed by ``_complete``.  Normalising keeps capture →
-        restore → capture byte-identical and lets two runs with
-        different budgets produce the same snapshot bytes at the same
+        the capture cadence is normalised away: it is a property of this
+        run segment, not of simulated state.  Normalising lets runs with
+        different cadences produce the same snapshot bytes at the same
         committed count."""
         state = dict(self.__dict__)
         state["checkpoint_sink"] = None
-        state["checkpoints_captured"] = 0
-        state["_next_ckpt_at"] = None
-        state["_final_call_at"] = None
-        state["_ckpt_due"] = False
         if state["config"].checkpoint_every is not None:
             state["config"] = state["config"].replace(checkpoint_every=None)
         return state
@@ -355,49 +338,11 @@ class Simulation:
             self.core.stats.committed + obs.sampler.interval
         )
 
-    def _maybe_checkpoint(self, committed: int, target: int) -> None:
-        """Offer the sink a capture at an eligible chunk boundary.
-
-        Eligible points: every ``checkpoint_every`` committed
-        instructions (when configured), the final-call mark shortly
-        before the end, and the end of the run (or a halt).  A capture
-        can fail benignly — a fault-plan run inside an active fault
-        window holds a pending revert, which cannot be snapshotted
-        (:func:`repro.checkpoint.snapshot.is_quiescent`); helper jobs
-        and queued optimization events never block it — so a due
-        capture stays *due* until one succeeds; the chunk loop shortens
-        its strides while a capture is pending so the next quiescent
-        point is found within a few hundred instructions.  The
-        final-call mark exists because the exact end of a run is not
-        reliably quiescent: a capture slightly early still lets a
-        longer run skip almost the whole prefix.
-        """
-        at_end = committed >= target or self.core.ctx.halted
-        boundary = self._next_ckpt_at
-        if boundary is not None and committed >= boundary:
-            self._ckpt_due = True
-            every = self.config.checkpoint_every
-            while boundary <= committed:
-                boundary += every
-            self._next_ckpt_at = boundary
-        final_call = self._final_call_at
-        if final_call is not None and committed >= final_call:
-            self._ckpt_due = True
-            self._final_call_at = None
-        if at_end:
-            self._ckpt_due = True
-        if self._ckpt_due and self.checkpoint_sink(self):
-            self.checkpoints_captured += 1
-            self._ckpt_due = False
-        if at_end:
-            # Nothing runs after the end; a still-pending capture is a
-            # miss, not a carry-over into some later resume segment.
-            self._ckpt_due = False
-
     def _run_measured(self, target: int) -> None:
         """Run the core to ``target`` committed instructions, closing a
-        sampler window every ``interval`` instructions and offering the
-        checkpoint sink captures at chunk boundaries.
+        sampler window every ``interval`` instructions and calling the
+        checkpoint sink at every ``checkpoint_every`` mark and at the end
+        (or a halt).
 
         Chunked ``SMTCore.run`` calls are bit-identical to one call (the
         resilience experiment has always relied on this), so sampling
@@ -418,29 +363,17 @@ class Simulation:
             core.run(target)
             return
         interval = sampler.interval if sampler is not None else None
+        every = self.config.checkpoint_every if sink is not None else None
         while not core.ctx.halted and core.stats.committed < target:
-            stop = target
+            # The sink's next call: the next cadence mark, or the end.
+            capture_at = target
+            if every:
+                capture_at = min(
+                    target, (core.stats.committed // every + 1) * every
+                )
+            stop = capture_at
             if interval is not None and self._next_sample_at < stop:
                 stop = self._next_sample_at
-            if sink is not None:
-                if self._ckpt_due:
-                    # A capture is pending a quiescent point: short
-                    # strides until one is found.
-                    stop = min(
-                        stop,
-                        core.stats.committed + _CKPT_RETRY_STEP,
-                    )
-                else:
-                    if (
-                        self._next_ckpt_at is not None
-                        and self._next_ckpt_at < stop
-                    ):
-                        stop = self._next_ckpt_at
-                    if (
-                        self._final_call_at is not None
-                        and self._final_call_at < stop
-                    ):
-                        stop = self._final_call_at
             core.run(stop, drain=False)
             committed = core.stats.committed
             shared_boundary = False
@@ -450,8 +383,10 @@ class Simulation:
                 )
                 if shared_boundary:
                     self._record_sample()
-            if sink is not None:
-                self._maybe_checkpoint(committed, target)
+            if sink is not None and (
+                committed >= capture_at or core.ctx.halted
+            ):
+                sink(self)
             if (
                 interval is not None
                 and not shared_boundary
@@ -515,25 +450,6 @@ class Simulation:
         cfg = self.config
         start_committed, start_cycles = self._measure_start
         target = cfg.warmup_instructions + cfg.max_instructions
-        self._next_ckpt_at = None
-        self._final_call_at = None
-        self._ckpt_due = False
-        if self.checkpoint_sink is not None:
-            committed = self.core.stats.committed
-            every = cfg.checkpoint_every
-            if every:
-                self._next_ckpt_at = (committed // every + 1) * every
-            remaining = target - committed
-            if self.injector is not None and remaining > 2 * _CKPT_RETRY_STEP:
-                # Insurance for fault-plan runs only: an open fault
-                # window can make the end-of-run boundary non-quiescent,
-                # so arm one extra capture shortly before the target.
-                # Without an injector the end boundary always captures,
-                # and the margin snapshot would be pure overhead.
-                margin = max(
-                    _CKPT_RETRY_STEP, min(8 * _CKPT_RETRY_STEP, remaining // 8)
-                )
-                self._final_call_at = target - margin
         self._run_measured(target)
         committed, cycles = self.core.snapshot()
         if self.injector is not None:

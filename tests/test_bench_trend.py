@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -11,6 +13,7 @@ if str(_TOOLS) not in sys.path:
     sys.path.insert(0, str(_TOOLS))
 
 import bench_trend  # noqa: E402
+import bench_output  # noqa: E402  (bench_trend puts benchmarks/ on the path)
 
 
 def _record(speedup=None, walls=None, instructions=8000, warmup=2000):
@@ -199,3 +202,34 @@ class TestReport:
         series = bench_trend._load_series(history)
         [records] = series.values()
         assert len(records) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestGitRev:
+    def test_dirty_tree_is_not_stamped_as_head(self, tmp_path, monkeypatch):
+        """A record from an uncommitted tree says so; the history file
+        itself changing does not make the tree dirty."""
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        results = tmp_path / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        history = results / "BENCH_history.jsonl"
+        source = tmp_path / "src.py"
+        history.write_text("")
+        source.write_text("x = 1\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "seed")
+        monkeypatch.setattr(bench_output, "RESULTS_DIR", results)
+
+        head = bench_output._git_rev()
+        assert head and not head.endswith("-dirty")
+        history.write_text("{}\n")
+        assert bench_output._git_rev() == head
+        source.write_text("x = 2\n")
+        assert bench_output._git_rev() == head + "-dirty"
+

@@ -22,6 +22,7 @@ import pytest
 
 from repro.checkpoint import CheckpointStore, capture, restore
 from repro.config import PrefetchPolicy, SimulationConfig
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.harness.engine import ExperimentEngine, make_job
 from repro.harness.runner import Simulation
 from repro.hwprefetch.zoo import resolve_policy, zoo_names
@@ -181,3 +182,31 @@ class TestEngineChains:
         outcome = again.run([job], isolate=False)[0]
         # refresh forbids resuming, even with a usable snapshot present.
         assert outcome.resumed_from is None
+
+    def test_chain_resumes_inside_an_open_fault_window(self, tmp_path):
+        """A bus-contention window still open when the 6k job ends does
+        not stop its end-of-run snapshot: the 12k job resumes from it."""
+        plan = FaultPlan(events=(
+            FaultEvent(kind="bus_contention", at_instruction=3_000,
+                       duration_cycles=400_000, magnitude=3.0),
+        ))
+        jobs = [
+            make_job(
+                "mcf",
+                policy=PrefetchPolicy.SELF_REPAIRING,
+                max_instructions=budget,
+                warmup_instructions=2_000,
+                fault_plan=plan,
+            )
+            for budget in (6_000, 12_000)
+        ]
+        outcomes = ExperimentEngine(
+            cache=None, checkpoints=CheckpointStore(tmp_path)
+        ).run(jobs, isolate=False)
+        assert [o.resumed_from for o in outcomes] == [None, 8_000]
+        cold = Simulation(
+            jobs[1].workload, jobs[1].config, fault_plan=plan
+        ).run()
+        assert json.dumps(outcomes[1].result.to_dict()) == json.dumps(
+            cold.to_dict()
+        )

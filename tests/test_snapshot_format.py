@@ -1,4 +1,4 @@
-"""Format-4 snapshots restore to the object graph they captured.
+"""Snapshots restore to the object graph they captured.
 
 ``capture`` pickles through ``_SnapshotPickler`` (the C pickler, with the
 canonical rules applied by ``persistent_id``) and ``restore`` loads
@@ -9,7 +9,9 @@ of the one captured, whether it ran a registry workload (image and
 program by reference), a scenario (memory in full), stopped mid-trace
 or with the helper thread busy.  The property half drives the pickler
 pair over random graphs, which must restore to equal canonical bytes
-with every shared container still shared.
+with every shared container still shared, and captures runs inside
+drawn fault windows, which must recapture byte for byte and resume to
+the cold result.
 
 The example budget scales with ``REPRO_FUZZ_EXAMPLES`` like the scenario
 fuzz (CI runs 200; the local default keeps the suite fast).
@@ -21,7 +23,7 @@ import io
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.checkpoint import Snapshot, capture, restore
 from repro.checkpoint.snapshot import (
@@ -31,6 +33,7 @@ from repro.checkpoint.snapshot import (
     canonical_dumps,
 )
 from repro.errors import CheckpointError
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.harness.engine import make_job
 from repro.harness.runner import Simulation
 from repro.scenarios import CATALOG, materialize_workload
@@ -51,12 +54,12 @@ def _loads(data: bytes):
     return _SnapshotUnpickler(io.BytesIO(data)).load()
 
 
-def _simulation(workload, policy):
+def _simulation(workload, policy, warmup=WARMUP, fault_plan=None):
     job = make_job(workload, policy=policy, max_instructions=BUDGET,
-                   warmup_instructions=WARMUP)
+                   warmup_instructions=warmup, fault_plan=fault_plan)
     if job.scenario is not None:
         workload = materialize_workload(job.scenario, None, job.config.seed)
-    return Simulation(workload, job.config)
+    return Simulation(workload, job.config, fault_plan=job.fault_plan)
 
 
 def _assert_round_trip(sim):
@@ -92,16 +95,88 @@ class TestSimulatorRoundTrip:
         _assert_round_trip(sim)
 
     def test_mid_trace(self):
-        sim = _simulation("mcf", "self_repairing")
+        """A restored mid-trace core binds its trace function on its
+        next run call, and finishes its budget as a cold run does."""
+        sim = _simulation("mcf", "self_repairing", warmup=0)
         _step_until(sim, lambda s: s.core._trace is not None)
         _assert_round_trip(sim)
-        assert restore(capture(sim)).core._trace_run is not None
+        restored = restore(capture(sim))
+        assert restored.core._trace is not None
+        cold = _simulation("mcf", "self_repairing", warmup=0).run()
+        assert restored.resume().to_dict() == cold.to_dict()
 
     def test_helper_busy(self):
         sim = _simulation("mcf", "self_repairing")
         _step_until(sim, lambda s: not s.runtime.helper.idle)
         _assert_round_trip(sim)
         assert not restore(capture(sim)).runtime.helper.idle
+
+
+# ---------------------------------------------------------------------------
+# Captures inside fault windows.
+# ---------------------------------------------------------------------------
+#: The resumed budget, and the cycles an mcf run of it takes (~9,500):
+#: drawn windows close inside the run or stay open past its end.
+B2 = 3_000
+MAX_WINDOW = 12_000
+
+
+@st.composite
+def _window_plans(draw):
+    """Windows of ``dram_latency`` (with a duration) and
+    ``bus_contention`` at drawn instruction counts, and a capture point
+    B1 before B2."""
+    events = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("dram_latency", "bus_contention")))
+        magnitude = (
+            draw(st.integers(1, 300)) if kind == "dram_latency"
+            else draw(st.floats(1.1, 4.0))
+        )
+        events.append(FaultEvent(
+            kind=kind,
+            at_instruction=draw(st.integers(0, WARMUP + B2)),
+            duration_cycles=draw(st.integers(1, MAX_WINDOW)),
+            magnitude=magnitude,
+        ))
+    plan = FaultPlan(events=tuple(events), seed=draw(st.integers(1, 99)))
+    return plan, draw(st.integers(1, B2 - 1))
+
+
+#: Both windows open across B1: bus contention from instruction 800 and
+#: a DRAM spike from 1,000, each far longer than the run.
+_OPEN_ACROSS_B1 = (
+    FaultPlan(events=(
+        FaultEvent(kind="bus_contention", at_instruction=800,
+                   duration_cycles=400_000, magnitude=3.0),
+        FaultEvent(kind="dram_latency", at_instruction=1_000,
+                   duration_cycles=300_000, magnitude=200),
+    ), seed=1),
+    1_500,
+)
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None, derandomize=True)
+@given(case=_window_plans())
+@example(case=_OPEN_ACROSS_B1)
+def test_capture_inside_fault_windows(case):
+    """A snapshot taken with windows open round-trips byte for byte, and
+    resuming it to B2 equals a cold B2 run under the same plan."""
+    plan, b1 = case
+
+    def simulation(budget):
+        job = make_job("mcf", policy="self_repairing",
+                       max_instructions=budget, warmup_instructions=WARMUP)
+        return Simulation(job.workload, job.config, fault_plan=plan)
+
+    sim = simulation(b1)
+    captured = []
+    sim.checkpoint_sink = lambda s: captured.append(capture(s))
+    sim.run()
+    snapshot = captured[-1]
+    assert capture(restore(snapshot)).to_bytes() == snapshot.to_bytes()
+    cold = simulation(B2).run()
+    assert restore(snapshot).resume(B2).to_dict() == cold.to_dict()
 
 
 class TestFormat:
