@@ -411,14 +411,12 @@ def _execute_job(
             ckpt_sink = lambda s: store.save(prefix, s)  # noqa: E731
         else:
             def ckpt_sink(s, _store=store, _prefix=prefix):
-                saved = _store.save(_prefix, s)
-                if saved:
+                if _store.save(_prefix, s):
                     recorder.instant(
                         "checkpoint-capture",
                         context,
                         committed=s.core.stats.committed,
                     )
-                return saved
     run_span = None
     if recorder is not None:
         run_span = recorder.begin(

@@ -232,4 +232,3 @@ class TestGitRev:
         assert bench_output._git_rev() == head
         source.write_text("x = 2\n")
         assert bench_output._git_rev() == head + "-dirty"
-

@@ -54,12 +54,12 @@ def _loads(data: bytes):
     return _SnapshotUnpickler(io.BytesIO(data)).load()
 
 
-def _simulation(workload, policy, warmup=WARMUP, fault_plan=None):
+def _simulation(workload, policy, warmup=WARMUP):
     job = make_job(workload, policy=policy, max_instructions=BUDGET,
-                   warmup_instructions=warmup, fault_plan=fault_plan)
+                   warmup_instructions=warmup)
     if job.scenario is not None:
         workload = materialize_workload(job.scenario, None, job.config.seed)
-    return Simulation(workload, job.config, fault_plan=job.fault_plan)
+    return Simulation(workload, job.config)
 
 
 def _assert_round_trip(sim):
